@@ -31,9 +31,9 @@ const SynthCommunity& CommunityOfSize(size_t users) {
 void BM_RiggsFixedPointLargestCategory(benchmark::State& state) {
   const SynthCommunity& community =
       CommunityOfSize(static_cast<size_t>(state.range(0)));
-  DatasetIndices indices(community.dataset);
+  CategoryIndex index(community.dataset);
   // Category 0 is the most popular under the Zipf prior.
-  CategoryView view(community.dataset, indices, CategoryId(0));
+  CategoryView view(community.dataset, index, CategoryId(0));
   ReputationOptions options;
   size_t iterations = 0;
   for (auto _ : state) {
@@ -49,11 +49,11 @@ BENCHMARK(BM_RiggsFixedPointLargestCategory)->Arg(1000)->Arg(4000);
 void BM_ReputationEngineAllCategories(benchmark::State& state) {
   const SynthCommunity& community =
       CommunityOfSize(static_cast<size_t>(state.range(0)));
-  DatasetIndices indices(community.dataset);
+  CategoryIndex index(community.dataset);
   ReputationOptions options;
   options.num_threads = static_cast<size_t>(state.range(1));
   for (auto _ : state) {
-    auto result = ComputeReputations(community.dataset, indices, options);
+    auto result = ComputeReputations(community.dataset, index, options);
     benchmark::DoNotOptimize(result.ValueOrDie().expertise.data().data());
   }
   state.counters["reviews"] =
@@ -67,8 +67,8 @@ BENCHMARK(BM_ReputationEngineAllCategories)
 
 void BM_RiggsToleranceSweep(benchmark::State& state) {
   const SynthCommunity& community = CommunityOfSize(2000);
-  DatasetIndices indices(community.dataset);
-  CategoryView view(community.dataset, indices, CategoryId(0));
+  CategoryIndex index(community.dataset);
+  CategoryView view(community.dataset, index, CategoryId(0));
   ReputationOptions options;
   options.tolerance = std::pow(10.0, -static_cast<double>(state.range(0)));
   size_t iterations = 0;
@@ -84,25 +84,25 @@ BENCHMARK(BM_RiggsToleranceSweep)->Arg(3)->Arg(6)->Arg(9)->Arg(12);
 void BM_CategoryViewConstruction(benchmark::State& state) {
   const SynthCommunity& community =
       CommunityOfSize(static_cast<size_t>(state.range(0)));
-  DatasetIndices indices(community.dataset);
+  CategoryIndex index(community.dataset);
   for (auto _ : state) {
-    CategoryView view(community.dataset, indices, CategoryId(0));
+    CategoryView view(community.dataset, index, CategoryId(0));
     benchmark::DoNotOptimize(view.num_ratings());
   }
 }
 BENCHMARK(BM_CategoryViewConstruction)->Arg(1000)->Arg(4000);
 
-void BM_DatasetIndicesConstruction(benchmark::State& state) {
+void BM_CategoryIndexConstruction(benchmark::State& state) {
   const SynthCommunity& community =
       CommunityOfSize(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    DatasetIndices indices(community.dataset);
-    benchmark::DoNotOptimize(indices.num_users());
+    CategoryIndex index(community.dataset);
+    benchmark::DoNotOptimize(index.num_users());
   }
   state.counters["ratings"] =
       static_cast<double>(community.dataset.num_ratings());
 }
-BENCHMARK(BM_DatasetIndicesConstruction)->Arg(1000)->Arg(4000);
+BENCHMARK(BM_CategoryIndexConstruction)->Arg(1000)->Arg(4000);
 
 }  // namespace
 }  // namespace wot

@@ -1,59 +1,74 @@
 #include "wot/community/category_view.h"
 
-#include <unordered_map>
+#include <limits>
 
 #include "wot/util/check.h"
 
 namespace wot {
 
-CategoryView::CategoryView(const Dataset& dataset,
-                           const DatasetIndices& indices,
+CategoryView::CategoryView(const Dataset& dataset, const CategoryIndex& index,
                            CategoryId category)
     : category_(category) {
   WOT_CHECK(category.valid());
+  WOT_CHECK_EQ(index.num_users(), dataset.num_users());
+  WOT_CHECK_EQ(index.num_categories(), dataset.num_categories());
 
-  auto reviews = indices.ReviewsInCategory(category);
+  auto reviews = index.ReviewsIn(category);
   review_ids_.assign(reviews.begin(), reviews.end());
+  const size_t num_reviews = review_ids_.size();
 
-  // Local review remap.
-  std::unordered_map<uint32_t, uint32_t> review_local;
-  review_local.reserve(review_ids_.size());
-  for (size_t lr = 0; lr < review_ids_.size(); ++lr) {
-    review_local.emplace(review_ids_[lr].value(),
-                         static_cast<uint32_t>(lr));
-  }
+  // Global user -> local writer / rater, filled in first-seen order.
+  constexpr uint32_t kUnseen = std::numeric_limits<uint32_t>::max();
+  std::vector<uint32_t> local_of_user(dataset.num_users(), kUnseen);
 
-  // Writers, in first-seen order over category reviews.
-  std::unordered_map<uint32_t, uint32_t> writer_local;
-  review_writer_.resize(review_ids_.size());
-  for (size_t lr = 0; lr < review_ids_.size(); ++lr) {
+  review_writer_.resize(num_reviews);
+  for (size_t lr = 0; lr < num_reviews; ++lr) {
     UserId writer = dataset.review(review_ids_[lr]).writer;
-    auto [it, inserted] = writer_local.emplace(
-        writer.value(), static_cast<uint32_t>(writer_ids_.size()));
-    if (inserted) {
+    uint32_t& local = local_of_user[writer.index()];
+    if (local == kUnseen) {
+      local = static_cast<uint32_t>(writer_ids_.size());
       writer_ids_.push_back(writer);
     }
-    review_writer_[lr] = it->second;
+    review_writer_[lr] = local;
+  }
+  for (UserId writer : writer_ids_) {
+    local_of_user[writer.index()] = kUnseen;
   }
 
-  // Collect in-category ratings (review side) and discover raters.
-  std::unordered_map<uint32_t, uint32_t> rater_local;
-  size_t total_ratings = 0;
-  for (size_t lr = 0; lr < review_ids_.size(); ++lr) {
-    total_ratings += indices.RatingsOfReview(review_ids_[lr]).size();
+  // Review-side ratings: a stable counting sort of the category's
+  // append-ordered ratings by local review, so each review's ratings keep
+  // ascending rating-id order. local_rater holds the global rater until
+  // the next pass numbers raters in first-seen order.
+  const std::vector<ReviewRating>& ratings = dataset.ratings();
+  auto rating_ids = index.RatingsIn(category);
+  std::vector<uint32_t> rating_review(rating_ids.size());
+  review_rating_offsets_.assign(num_reviews + 1, 0);
+  for (size_t k = 0; k < rating_ids.size(); ++k) {
+    const uint32_t lr =
+        index.PositionInCategory(ratings[rating_ids[k]].review);
+    rating_review[k] = lr;
+    ++review_rating_offsets_[lr + 1];
   }
-  review_rating_offsets_.assign(review_ids_.size() + 1, 0);
-  review_ratings_.reserve(total_ratings);
-  for (size_t lr = 0; lr < review_ids_.size(); ++lr) {
-    for (const auto& ref : indices.RatingsOfReview(review_ids_[lr])) {
-      auto [it, inserted] = rater_local.emplace(
-          ref.rater.value(), static_cast<uint32_t>(rater_ids_.size()));
-      if (inserted) {
-        rater_ids_.push_back(ref.rater);
-      }
-      review_ratings_.push_back({it->second, ref.value});
+  for (size_t lr = 1; lr <= num_reviews; ++lr) {
+    review_rating_offsets_[lr] += review_rating_offsets_[lr - 1];
+  }
+  review_ratings_.resize(rating_ids.size());
+  {
+    std::vector<size_t> cursor(review_rating_offsets_.begin(),
+                               review_rating_offsets_.end() - 1);
+    for (size_t k = 0; k < rating_ids.size(); ++k) {
+      const ReviewRating& rating = ratings[rating_ids[k]];
+      review_ratings_[cursor[rating_review[k]]++] = {rating.rater.value(),
+                                                      rating.value};
     }
-    review_rating_offsets_[lr + 1] = review_ratings_.size();
+  }
+  for (ReviewSideRating& rr : review_ratings_) {
+    uint32_t& local = local_of_user[rr.local_rater];
+    if (local == kUnseen) {
+      local = static_cast<uint32_t>(rater_ids_.size());
+      rater_ids_.push_back(UserId(rr.local_rater));
+    }
+    rr.local_rater = local;
   }
 
   // Rater-side grouping (counting sort over the review-side array).

@@ -9,8 +9,8 @@
 #include <span>
 #include <vector>
 
+#include "wot/community/category_index.h"
 #include "wot/community/dataset.h"
-#include "wot/community/indices.h"
 
 namespace wot {
 
@@ -22,10 +22,17 @@ namespace wot {
 ///   local rater    lx in [0, num_raters())
 /// Ratings appear twice, grouped by review (for eq. 1) and grouped by rater
 /// (for eq. 2).
+///
+/// Every order is fixed by the dataset alone: reviews ascend by id, writers
+/// and raters are numbered in first-seen order over the reviews, and a
+/// review's ratings ascend by rating id. The Riggs sums run in these
+/// orders, so any two views of the same data give bit-identical results.
 class CategoryView {
  public:
-  /// \brief Materializes the view for \p category.
-  CategoryView(const Dataset& dataset, const DatasetIndices& indices,
+  /// \brief Materializes the view for \p category in
+  /// O(reviews + ratings of the category + users); \p index must describe
+  /// \p dataset.
+  CategoryView(const Dataset& dataset, const CategoryIndex& index,
                CategoryId category);
 
   CategoryId category() const { return category_; }

@@ -17,12 +17,14 @@ DatasetBuilder::DatasetBuilder(DatasetBuilderOptions options)
 UserId DatasetBuilder::AddUser(std::string name) {
   UserId id(static_cast<uint32_t>(dataset_.users_.size()));
   dataset_.users_.push_back({id, std::move(name)});
+  index_.AddUser();
   return id;
 }
 
 CategoryId DatasetBuilder::AddCategory(std::string name) {
   CategoryId id(static_cast<uint32_t>(dataset_.categories_.size()));
   dataset_.categories_.push_back({id, std::move(name)});
+  index_.AddCategory();
   return id;
 }
 
@@ -62,6 +64,7 @@ Result<ReviewId> DatasetBuilder::AddReview(UserId writer, ObjectId object) {
   ReviewId id(static_cast<uint32_t>(dataset_.reviews_.size()));
   dataset_.reviews_.push_back(
       {id, writer, object, dataset_.objects_[object.index()].category});
+  index_.AddReview(dataset_.reviews_.back());
   return id;
 }
 
@@ -91,7 +94,10 @@ Status DatasetBuilder::AddRating(UserId rater, ReviewId review,
           " already rated review " + std::to_string(review.value()));
     }
   }
+  const uint32_t rating_id = static_cast<uint32_t>(dataset_.ratings_.size());
   dataset_.ratings_.push_back({rater, review, value});
+  index_.AddRating(rating_id, dataset_.ratings_.back(),
+                   dataset_.reviews_[review.index()].category);
   return Status::OK();
 }
 
@@ -115,6 +121,7 @@ Status DatasetBuilder::AddTrust(UserId source, UserId target) {
 Result<Dataset> DatasetBuilder::Build() {
   Dataset out = std::move(dataset_);
   dataset_ = Dataset();
+  index_ = CategoryIndex();
   review_keys_.clear();
   rating_keys_.clear();
   trust_keys_.clear();
@@ -186,6 +193,7 @@ Status DatasetBuilder::AdoptValidated(Dataset dataset) {
     }
   }
   dataset_ = std::move(dataset);
+  index_ = CategoryIndex(dataset_);
   review_keys_.clear();
   rating_keys_.clear();
   trust_keys_.clear();

@@ -5,6 +5,7 @@
 #include <string>
 #include <unordered_set>
 
+#include "wot/community/category_index.h"
 #include "wot/community/dataset.h"
 #include "wot/util/result.h"
 
@@ -78,7 +79,8 @@ class DatasetBuilder {
   /// source, and the dedup key sets are NOT rebuilt eagerly but lazily,
   /// on the first Add* call that needs them, so adoption costs O(scan)
   /// instead of O(hash-insert) per row. Future ingests validate against
-  /// exactly the keys an incremental build would have produced.
+  /// exactly the keys an incremental build would have produced. The
+  /// category index is built here, in one pass over the columns.
   Status AdoptValidated(Dataset dataset);
 
   /// \brief Read-only view of the dataset under construction. The reference
@@ -86,6 +88,11 @@ class DatasetBuilder {
   /// by generators that interleave reads (e.g. "who wrote this review?")
   /// with appends.
   const Dataset& StagedView() const { return dataset_; }
+
+  /// \brief The per-category index of StagedView(), current after every
+  /// successful Add* call (rejected calls leave it untouched) and after
+  /// AdoptValidated. Same lifetime rules as StagedView().
+  const CategoryIndex& category_index() const { return index_; }
 
   size_t num_users() const { return dataset_.users_.size(); }
   size_t num_reviews() const { return dataset_.reviews_.size(); }
@@ -98,6 +105,7 @@ class DatasetBuilder {
 
   DatasetBuilderOptions options_;
   Dataset dataset_;
+  CategoryIndex index_;
   // Dedup keys: (writer, object), (rater, review), (src, dst) as u64.
   // After AdoptValidated() these are stale until the first Add* call
   // that consults them (EnsureDedupKeys rebuilds in one pass).

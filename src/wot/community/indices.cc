@@ -78,19 +78,6 @@ DatasetIndices::DatasetIndices(const Dataset& dataset)
   for (size_t pos = 0; pos < perm.size(); ++pos) {
     category_reviews_[pos] = reviews[perm[pos]].id;
   }
-
-  // Activity counters.
-  write_counts_.assign(num_users_ * num_categories_, 0);
-  rate_counts_.assign(num_users_ * num_categories_, 0);
-  for (const auto& review : reviews) {
-    ++write_counts_[review.writer.index() * num_categories_ +
-                    review.category.index()];
-  }
-  for (const auto& rating : ratings) {
-    const auto& review = dataset.review(rating.review);
-    ++rate_counts_[rating.rater.index() * num_categories_ +
-                   review.category.index()];
-  }
 }
 
 std::span<const DatasetIndices::RatingRef> DatasetIndices::RatingsOfReview(
@@ -119,14 +106,6 @@ std::span<const ReviewId> DatasetIndices::ReviewsInCategory(
   size_t begin = category_review_offsets_[category.index()];
   size_t end = category_review_offsets_[category.index() + 1];
   return {category_reviews_.data() + begin, end - begin};
-}
-
-uint32_t DatasetIndices::WriteCount(UserId u, CategoryId category) const {
-  return write_counts_[u.index() * num_categories_ + category.index()];
-}
-
-uint32_t DatasetIndices::RateCount(UserId u, CategoryId category) const {
-  return rate_counts_[u.index() * num_categories_ + category.index()];
 }
 
 }  // namespace wot

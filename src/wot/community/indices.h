@@ -1,6 +1,7 @@
 // Secondary indices over a Dataset. Built once after load/generation, then
-// shared read-only by the reputation engine, affiliation computation,
-// baseline and evaluation code.
+// shared read-only by the statistics, baseline and evaluation code. The
+// reputation engine and the affiliation computation read the per-category
+// CategoryIndex instead (wot/community/category_index.h).
 #ifndef WOT_COMMUNITY_INDICES_H_
 #define WOT_COMMUNITY_INDICES_H_
 
@@ -12,8 +13,8 @@
 
 namespace wot {
 
-/// \brief CSR-style grouping of ratings by review and by rater, reviews by
-/// writer and by category, plus per-(user, category) activity counts.
+/// \brief CSR-style grouping of ratings by review and by rater, and of
+/// reviews by writer and by category.
 class DatasetIndices {
  public:
   /// \brief Builds all indices in O(|reviews| + |ratings|).
@@ -43,14 +44,6 @@ class DatasetIndices {
   /// \brief Reviews belonging to \p category.
   std::span<const ReviewId> ReviewsInCategory(CategoryId category) const;
 
-  /// \brief Number of reviews user \p u wrote in \p category
-  /// (a^w_ij in eq. 4).
-  uint32_t WriteCount(UserId u, CategoryId category) const;
-
-  /// \brief Number of ratings user \p u gave in \p category
-  /// (a^r_ij in eq. 4).
-  uint32_t RateCount(UserId u, CategoryId category) const;
-
   size_t num_users() const { return num_users_; }
   size_t num_categories() const { return num_categories_; }
 
@@ -73,11 +66,6 @@ class DatasetIndices {
   // Reviews grouped by category.
   std::vector<size_t> category_review_offsets_;
   std::vector<ReviewId> category_reviews_;
-
-  // Dense (user × category) activity counters; categories are few, so this
-  // is affordable and O(1) to query.
-  std::vector<uint32_t> write_counts_;
-  std::vector<uint32_t> rate_counts_;
 };
 
 }  // namespace wot

@@ -13,24 +13,22 @@
 
 #include <span>
 
-#include "wot/community/dataset.h"
-#include "wot/community/indices.h"
+#include "wot/community/category_index.h"
 #include "wot/linalg/dense_matrix.h"
 
 namespace wot {
 
 /// \brief Computes the U x C affiliation matrix (eq. 4). All entries lie in
-/// [0, 1]; a fully inactive user has an all-zero row.
-DenseMatrix ComputeAffiliationMatrix(const Dataset& dataset,
-                                     const DatasetIndices& indices);
+/// [0, 1]; a fully inactive user has an all-zero row. Reads only the
+/// activity counts of \p index.
+DenseMatrix ComputeAffiliationMatrix(const CategoryIndex& index);
 
 /// \brief Computes one user's affiliation row into \p out (size C). A row
 /// depends only on that user's own rate/write counts, so incremental
 /// maintainers (TrustService) refresh exactly the rows of users whose
 /// activity changed; the result is bit-identical to the corresponding row
 /// of ComputeAffiliationMatrix.
-void ComputeAffiliationRow(const Dataset& dataset,
-                           const DatasetIndices& indices, UserId user,
+void ComputeAffiliationRow(const CategoryIndex& index, UserId user,
                            std::span<double> out);
 
 }  // namespace wot

@@ -1,5 +1,9 @@
 #include "wot/reputation/engine.h"
 
+#include <algorithm>
+#include <numeric>
+
+#include "wot/community/category_view.h"
 #include "wot/reputation/riggs.h"
 #include "wot/reputation/writer_reputation.h"
 #include "wot/util/parallel_for.h"
@@ -7,7 +11,7 @@
 namespace wot {
 
 Result<ReputationResult> ComputeReputations(
-    const Dataset& dataset, const DatasetIndices& indices,
+    const Dataset& dataset, const CategoryIndex& index,
     const ReputationOptions& options) {
   if (options.tolerance <= 0.0) {
     return Status::InvalidArgument("tolerance must be positive");
@@ -25,35 +29,62 @@ Result<ReputationResult> ComputeReputations(
   result.review_quality.assign(dataset.num_reviews(), 0.0);
   result.convergence.assign(num_categories, ConvergenceInfo{});
 
+  std::vector<size_t> all(num_categories);
+  std::iota(all.begin(), all.end(), size_t{0});
+  RecomputeCategories(dataset, index, all, options, &result);
+  return result;
+}
+
+size_t RecomputeCategories(const Dataset& dataset, const CategoryIndex& index,
+                           std::span<const size_t> categories,
+                           const ReputationOptions& options,
+                           ReputationResult* result) {
+  // Category sizes are skewed, so hand the largest out first: the last
+  // worker to finish then holds a small category, not the biggest one.
+  std::vector<size_t> order(categories.begin(), categories.end());
+  auto num_ratings = [&](size_t c) {
+    return index.RatingsIn(CategoryId(static_cast<uint32_t>(c))).size();
+  };
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return num_ratings(a) > num_ratings(b);
+  });
+
   // Each worker writes to disjoint columns (its own category) and to the
   // review-quality slots of its own category's reviews, so no locking is
   // needed and results are independent of scheduling.
+  const size_t num_users = dataset.num_users();
+  std::vector<size_t> view_ratings(order.size(), 0);
   ParallelFor(
-      num_categories,
-      [&](size_t c) {
-        CategoryId category(static_cast<uint32_t>(c));
-        CategoryView view(dataset, indices, category);
+      order.size(),
+      [&](size_t k) {
+        const size_t c = order[k];
+        CategoryView view(dataset, index, CategoryId(static_cast<uint32_t>(c)));
+        view_ratings[k] = view.num_ratings();
         RiggsResult riggs = RiggsFixedPoint(view, options);
         std::vector<double> writer_rep =
             ComputeWriterReputations(view, riggs.review_quality, options);
 
+        for (size_t u = 0; u < num_users; ++u) {
+          result->expertise.At(u, c) = 0.0;
+          result->rater_reputation.At(u, c) = 0.0;
+        }
         for (size_t lw = 0; lw < view.num_writers(); ++lw) {
-          result.expertise.At(view.writer_id(lw).index(), c) =
+          result->expertise.At(view.writer_id(lw).index(), c) =
               writer_rep[lw];
         }
         for (size_t lx = 0; lx < view.num_raters(); ++lx) {
-          result.rater_reputation.At(view.rater_id(lx).index(), c) =
+          result->rater_reputation.At(view.rater_id(lx).index(), c) =
               riggs.rater_reputation[lx];
         }
         for (size_t lr = 0; lr < view.num_reviews(); ++lr) {
-          result.review_quality[view.review_id(lr).index()] =
+          result->review_quality[view.review_id(lr).index()] =
               riggs.review_quality[lr];
         }
-        result.convergence[c] = riggs.convergence;
+        result->convergence[c] = riggs.convergence;
       },
       options.num_threads);
-
-  return result;
+  return std::accumulate(view_ratings.begin(), view_ratings.end(),
+                         size_t{0});
 }
 
 }  // namespace wot

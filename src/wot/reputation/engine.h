@@ -11,10 +11,11 @@
 #ifndef WOT_REPUTATION_ENGINE_H_
 #define WOT_REPUTATION_ENGINE_H_
 
+#include <span>
 #include <vector>
 
+#include "wot/community/category_index.h"
 #include "wot/community/dataset.h"
-#include "wot/community/indices.h"
 #include "wot/linalg/dense_matrix.h"
 #include "wot/reputation/options.h"
 #include "wot/util/result.h"
@@ -33,13 +34,26 @@ struct ReputationResult {
   std::vector<ConvergenceInfo> convergence;
 };
 
-/// \brief Runs Step 1 over all categories of \p dataset.
+/// \brief Runs Step 1 over all categories of \p dataset; \p index must
+/// describe \p dataset.
 ///
 /// Categories are independent; they are processed concurrently on
 /// options.num_threads workers. Deterministic regardless of thread count.
 Result<ReputationResult> ComputeReputations(const Dataset& dataset,
-                                            const DatasetIndices& indices,
+                                            const CategoryIndex& index,
                                             const ReputationOptions& options);
+
+/// \brief Recomputes Step 1 for \p categories only, overwriting their
+/// expertise and rater-reputation columns, their reviews' qualities and
+/// their convergence entries in \p result, which must already have
+/// \p dataset's shape. Every other entry is left alone. Categories run
+/// largest-first on options.num_threads workers; the result does not
+/// depend on the order. Returns the number of ratings placed into the
+/// categories' views.
+size_t RecomputeCategories(const Dataset& dataset, const CategoryIndex& index,
+                           std::span<const size_t> categories,
+                           const ReputationOptions& options,
+                           ReputationResult* result);
 
 }  // namespace wot
 

@@ -1,9 +1,7 @@
 #include "wot/reputation/incremental.h"
 
-#include "wot/community/category_view.h"
-#include "wot/reputation/riggs.h"
-#include "wot/reputation/writer_reputation.h"
-#include "wot/util/parallel_for.h"
+#include <numeric>
+#include <utility>
 
 namespace wot {
 
@@ -11,65 +9,22 @@ IncrementalReputationEngine::IncrementalReputationEngine(
     ReputationOptions options)
     : options_(options) {}
 
-std::vector<IncrementalReputationEngine::CategoryVersion>
-IncrementalReputationEngine::Fingerprint(const Dataset& dataset,
-                                         const DatasetIndices& indices) {
-  std::vector<CategoryVersion> versions(dataset.num_categories());
-  for (size_t c = 0; c < dataset.num_categories(); ++c) {
-    CategoryId category(static_cast<uint32_t>(c));
-    size_t ratings = 0;
-    for (ReviewId review : indices.ReviewsInCategory(category)) {
-      ratings += indices.RatingsOfReview(review).size();
-    }
-    versions[c] = {indices.ReviewsInCategory(category).size(), ratings};
-  }
-  return versions;
-}
-
-Status IncrementalReputationEngine::FullRebuild(const Dataset& dataset) {
-  DatasetIndices indices(dataset);
-  return FullRebuild(dataset, indices);
-}
-
-Status IncrementalReputationEngine::FullRebuild(
-    const Dataset& dataset, const DatasetIndices& indices) {
-  WOT_ASSIGN_OR_RETURN(result_,
-                       ComputeReputations(dataset, indices, options_));
-  last_recomputed_.resize(dataset.num_categories());
-  for (size_t c = 0; c < last_recomputed_.size(); ++c) {
-    last_recomputed_[c] = c;
-  }
-  versions_ = Fingerprint(dataset, indices);
+void IncrementalReputationEngine::MarkDerived(const Dataset& dataset) {
   known_users_ = dataset.num_users();
+  known_categories_ = dataset.num_categories();
   known_reviews_ = dataset.num_reviews();
+  known_ratings_ = dataset.num_ratings();
   initialized_ = true;
+}
+
+Status IncrementalReputationEngine::FullRebuild(const Dataset& dataset,
+                                                const CategoryIndex& index) {
+  WOT_ASSIGN_OR_RETURN(result_, ComputeReputations(dataset, index, options_));
+  last_recomputed_.resize(dataset.num_categories());
+  std::iota(last_recomputed_.begin(), last_recomputed_.end(), size_t{0});
+  last_view_ratings_ = dataset.num_ratings();
+  MarkDerived(dataset);
   return Status::OK();
-}
-
-std::vector<IncrementalReputationEngine::CategoryVersion>
-IncrementalReputationEngine::Fingerprint(const Dataset& dataset) {
-  // Counting straight off the columns gives the same per-category review
-  // and rating populations as the index-based overload, without the
-  // grouped-postings build.
-  std::vector<CategoryVersion> versions(dataset.num_categories());
-  const std::vector<Review>& reviews = dataset.reviews();
-  for (const Review& review : reviews) {
-    ++versions[review.category.index()].num_reviews;
-  }
-  for (const ReviewRating& rating : dataset.ratings()) {
-    ++versions[reviews[rating.review.index()].category.index()]
-          .num_ratings;
-  }
-  return versions;
-}
-
-Status IncrementalReputationEngine::Seed(const Dataset& dataset,
-                                         const DatasetIndices& indices,
-                                         const ReputationResult& result) {
-  // Both Fingerprint overloads count the same populations, so the
-  // index-free implementation serves here too.
-  (void)indices;
-  return Seed(dataset, result);
 }
 
 Status IncrementalReputationEngine::Seed(const Dataset& dataset,
@@ -84,43 +39,40 @@ Status IncrementalReputationEngine::Seed(const Dataset& dataset,
         "seeded reputation result does not match the dataset's shape");
   }
   result_ = result;
-  versions_ = Fingerprint(dataset);
   last_recomputed_.clear();
-  known_users_ = dataset.num_users();
-  known_reviews_ = dataset.num_reviews();
-  initialized_ = true;
+  last_view_ratings_ = 0;
+  MarkDerived(dataset);
   return Status::OK();
 }
 
 Status IncrementalReputationEngine::Update(const Dataset& dataset,
-                                           size_t* categories_recomputed) {
-  DatasetIndices indices(dataset);
-  return Update(dataset, indices, categories_recomputed);
-}
-
-Status IncrementalReputationEngine::Update(const Dataset& dataset,
-                                           const DatasetIndices& indices,
+                                           const CategoryIndex& index,
                                            size_t* categories_recomputed) {
   if (!initialized_) {
     if (categories_recomputed != nullptr) {
       *categories_recomputed = dataset.num_categories();
     }
-    return FullRebuild(dataset, indices);
+    return FullRebuild(dataset, index);
   }
   if (dataset.num_users() < known_users_ ||
+      dataset.num_categories() < known_categories_ ||
       dataset.num_reviews() < known_reviews_ ||
-      dataset.num_categories() < versions_.size()) {
+      dataset.num_ratings() < known_ratings_) {
     return Status::FailedPrecondition(
         "IncrementalReputationEngine requires append-only dataset "
         "evolution");
   }
 
-  std::vector<CategoryVersion> current = Fingerprint(dataset, indices);
-
-  // Collect dirty categories (changed fingerprint or brand new).
+  // Dirty: brand new, or the category's newest review or rating is past
+  // the watermark (its lists ascend, so only the last entries matter).
   std::vector<size_t> dirty;
-  for (size_t c = 0; c < current.size(); ++c) {
-    if (c >= versions_.size() || !(versions_[c] == current[c])) {
+  for (size_t c = 0; c < dataset.num_categories(); ++c) {
+    const CategoryId category(static_cast<uint32_t>(c));
+    auto reviews = index.ReviewsIn(category);
+    auto ratings = index.RatingsIn(category);
+    if (c >= known_categories_ ||
+        (!reviews.empty() && reviews.back().index() >= known_reviews_) ||
+        (!ratings.empty() && ratings.back() >= known_ratings_)) {
       dirty.push_back(c);
     }
   }
@@ -147,42 +99,10 @@ Status IncrementalReputationEngine::Update(const Dataset& dataset,
   result_.review_quality.resize(dataset.num_reviews(), 0.0);
   result_.convergence.resize(num_categories, ConvergenceInfo{});
 
-  ParallelFor(
-      dirty.size(),
-      [&](size_t k) {
-        const size_t c = dirty[k];
-        CategoryId category(static_cast<uint32_t>(c));
-        CategoryView view(dataset, indices, category);
-        RiggsResult riggs = RiggsFixedPoint(view, options_);
-        std::vector<double> writer_rep =
-            ComputeWriterReputations(view, riggs.review_quality, options_);
-        // Reset the whole column first: a user's expertise may drop to 0
-        // only if reviews vanished, which append-only forbids, but a
-        // clean column write keeps the invariant trivially.
-        for (size_t u = 0; u < num_users; ++u) {
-          result_.expertise.At(u, c) = 0.0;
-          result_.rater_reputation.At(u, c) = 0.0;
-        }
-        for (size_t lw = 0; lw < view.num_writers(); ++lw) {
-          result_.expertise.At(view.writer_id(lw).index(), c) =
-              writer_rep[lw];
-        }
-        for (size_t lx = 0; lx < view.num_raters(); ++lx) {
-          result_.rater_reputation.At(view.rater_id(lx).index(), c) =
-              riggs.rater_reputation[lx];
-        }
-        for (size_t lr = 0; lr < view.num_reviews(); ++lr) {
-          result_.review_quality[view.review_id(lr).index()] =
-              riggs.review_quality[lr];
-        }
-        result_.convergence[c] = riggs.convergence;
-      },
-      options_.num_threads);
-
-  versions_ = std::move(current);
+  last_view_ratings_ =
+      RecomputeCategories(dataset, index, dirty, options_, &result_);
   last_recomputed_ = std::move(dirty);
-  known_users_ = dataset.num_users();
-  known_reviews_ = dataset.num_reviews();
+  MarkDerived(dataset);
   return Status::OK();
 }
 

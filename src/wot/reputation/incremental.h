@@ -9,11 +9,10 @@
 #ifndef WOT_REPUTATION_INCREMENTAL_H_
 #define WOT_REPUTATION_INCREMENTAL_H_
 
-#include <memory>
 #include <vector>
 
+#include "wot/community/category_index.h"
 #include "wot/community/dataset.h"
-#include "wot/community/indices.h"
 #include "wot/reputation/engine.h"
 #include "wot/util/result.h"
 
@@ -21,53 +20,40 @@ namespace wot {
 
 /// \brief Maintains ReputationResult across dataset versions.
 ///
-/// Usage:
+/// Usage (DatasetBuilder::category_index() keeps an index current as the
+/// dataset grows; CategoryIndex(dataset) builds one):
 ///   IncrementalReputationEngine engine(options);
-///   WOT_RETURN_IF_ERROR(engine.FullRebuild(v1));
+///   WOT_RETURN_IF_ERROR(engine.FullRebuild(v1, index_v1));
 ///   ... dataset grows into v2 (append-only) ...
-///   WOT_RETURN_IF_ERROR(engine.Update(v2));   // recomputes dirty
-///   categories only
+///   WOT_RETURN_IF_ERROR(engine.Update(v2, index_v2));  // recomputes
+///   dirty categories only
 ///
 /// Datasets must evolve append-only (entities are never removed or
-/// reordered); Update() verifies this and fails otherwise.
+/// reordered); Update() verifies the entity counts and fails otherwise.
 class IncrementalReputationEngine {
  public:
   explicit IncrementalReputationEngine(ReputationOptions options = {});
 
-  /// \brief Computes everything from scratch and snapshots per-category
-  /// activity versions.
-  Status FullRebuild(const Dataset& dataset);
-
-  /// \brief As above with caller-provided indices (must describe
-  /// \p dataset). Skips the O(|ratings|) index build — callers that keep
-  /// indices alive alongside the dataset should prefer this form.
-  Status FullRebuild(const Dataset& dataset, const DatasetIndices& indices);
+  /// \brief Computes everything from scratch; \p index must describe
+  /// \p dataset.
+  Status FullRebuild(const Dataset& dataset, const CategoryIndex& index);
 
   /// \brief Brings the result up to date with \p dataset, recomputing only
-  /// categories whose review or rating population changed. New users and
-  /// new categories are handled (matrices grow). Returns the number of
-  /// categories recomputed via *out if non-null.
-  Status Update(const Dataset& dataset, size_t* categories_recomputed =
-                                            nullptr);
-
-  /// \brief As above with caller-provided indices for \p dataset.
-  Status Update(const Dataset& dataset, const DatasetIndices& indices,
+  /// categories that gained reviews or ratings since the last successful
+  /// call, plus new categories. Dirtiness is read off \p index, which must
+  /// describe \p dataset: its per-category lists are in append order, so a
+  /// category is dirty iff its newest review or rating is newer than the
+  /// last derived state. New users are handled (matrices grow). Returns
+  /// the number of categories recomputed via *out if non-null.
+  Status Update(const Dataset& dataset, const CategoryIndex& index,
                 size_t* categories_recomputed = nullptr);
 
   /// \brief Adopts \p result as the already-converged state of \p dataset
   /// without recomputing anything (the durable-restore path: the result
   /// was persisted by an engine that had converged over this exact
-  /// dataset). Snapshots the per-category activity fingerprints so a
-  /// subsequent Update() recomputes only categories dirtied afterwards —
-  /// byte-identical to an engine that never restarted. Fails (engine
-  /// unchanged) when the result's shapes don't match \p dataset.
-  Status Seed(const Dataset& dataset, const DatasetIndices& indices,
-              const ReputationResult& result);
-
-  /// \brief As above without caller-provided indices. The activity
-  /// fingerprints are counted straight off the dataset columns in
-  /// O(|reviews| + |ratings|), so the restore path never pays for a full
-  /// DatasetIndices build it would immediately throw away.
+  /// dataset). A subsequent Update() recomputes only categories dirtied
+  /// afterwards — byte-identical to an engine that never restarted. Fails
+  /// (engine unchanged) when the result's shapes don't match \p dataset.
   Status Seed(const Dataset& dataset, const ReputationResult& result);
 
   /// \brief Current result; valid after a successful FullRebuild/Update.
@@ -83,27 +69,25 @@ class IncrementalReputationEngine {
     return last_recomputed_;
   }
 
+  /// \brief Ratings placed into the views of the categories the most
+  /// recent successful FullRebuild or Update recomputed (0 after Seed):
+  /// the size of the slice that call scanned.
+  size_t last_view_ratings() const { return last_view_ratings_; }
+
   bool initialized() const { return initialized_; }
 
  private:
-  /// Activity fingerprint of one category (review + rating counts are
-  /// sufficient under append-only evolution).
-  struct CategoryVersion {
-    size_t num_reviews = 0;
-    size_t num_ratings = 0;
-    bool operator==(const CategoryVersion&) const = default;
-  };
-
-  static std::vector<CategoryVersion> Fingerprint(
-      const Dataset& dataset, const DatasetIndices& indices);
-  static std::vector<CategoryVersion> Fingerprint(const Dataset& dataset);
+  /// Records \p dataset's entity counts as the derived state's watermark.
+  void MarkDerived(const Dataset& dataset);
 
   ReputationOptions options_;
   bool initialized_ = false;
   size_t known_users_ = 0;
+  size_t known_categories_ = 0;
   size_t known_reviews_ = 0;
-  std::vector<CategoryVersion> versions_;
+  size_t known_ratings_ = 0;
   std::vector<size_t> last_recomputed_;
+  size_t last_view_ratings_ = 0;
   ReputationResult result_;
 };
 

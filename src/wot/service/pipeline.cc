@@ -19,7 +19,7 @@ Result<TrustPipeline> TrustPipeline::Run(const Dataset& dataset,
   snapshot_options.build_postings = false;
   WOT_ASSIGN_OR_RETURN(
       pipeline.snapshot_,
-      TrustSnapshot::Build(dataset, *pipeline.indices_, snapshot_options));
+      TrustSnapshot::Build(dataset, snapshot_options));
 
   pipeline.direct_ =
       BuildDirectConnectionMatrix(dataset, *pipeline.indices_);

@@ -1,7 +1,7 @@
 // TrustPipeline: the one-shot *batch* front end of the library.
 //
-//   Dataset -> indices -> TrustSnapshot::Build (Steps 1-3 derived state)
-//           -> observation matrices (R, T) and the baseline B
+//   Dataset -> TrustSnapshot::Build (Steps 1-3 derived state)
+//           -> indices -> observation matrices (R, T) and the baseline B
 //
 // TrustPipeline is a thin facade over one-shot service construction: the
 // derived artifacts (expertise E, affiliation A, review qualities) live in

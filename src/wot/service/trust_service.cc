@@ -38,6 +38,7 @@ TrustService::TrustService(const TrustServiceOptions& options)
       commit_publish_ns_(metrics_->histogram("service.commit_publish_ns")),
       commit_dirty_categories_(
           metrics_->histogram("service.commit_dirty_categories")),
+      commit_view_ratings_(metrics_->histogram("service.commit_view_ratings")),
       builder_(options.builder),
       engine_(options.reputation) {}
 
@@ -121,8 +122,8 @@ Result<std::unique_ptr<TrustService>> TrustService::Restore(
   }
   // Seed the incremental engine with the persisted converged state (it
   // validates the reputation shapes) so the next Commit() recomputes only
-  // categories dirtied after this restore point. The index-free overload
-  // counts the activity fingerprints off the columns directly.
+  // categories dirtied after this restore point. AdoptValidated already
+  // built the category index the next Commit() reads.
   WOT_RETURN_IF_ERROR(service->engine_.Seed(staged, reputation));
 
   // Rebuilding the name directory as one chunk preserves lookup
@@ -351,21 +352,26 @@ Result<TrustService::CommitStats> TrustService::CommitLocked() {
     return stats;
   }
 
-  DatasetIndices indices(staged);
+  // The builder keeps the category index current at ingest, so nothing
+  // here regroups the whole dataset.
+  const CategoryIndex& index = builder_.category_index();
 
-  // Step 1: dirty categories only.
+  // Step 1: dirty categories only. The snapshot owns an independent copy
+  // of the result so later Updates cannot mutate published state behind
+  // readers' backs.
+  ReputationResult reputation;
   {
     WOT_TIMED(commit_update_ns_);
-    WOT_RETURN_IF_ERROR(engine_.Update(staged, indices));
+    WOT_RETURN_IF_ERROR(engine_.Update(staged, index));
+    reputation = engine_.result();
   }
   const std::vector<size_t>& dirty_categories =
       engine_.last_recomputed_categories();
   stats.categories_recomputed = dirty_categories.size();
+  stats.view_ratings = engine_.last_view_ratings();
   commit_dirty_categories_->Record(
       static_cast<int64_t>(dirty_categories.size()));
-  // The snapshot owns an independent copy so later Updates cannot mutate
-  // published state behind readers' backs.
-  ReputationResult reputation = engine_.result();
+  commit_view_ratings_->Record(static_cast<int64_t>(stats.view_ratings));
 
   // Step 2: refresh only the affiliation rows of users whose own activity
   // changed; everyone else keeps their previous row (zero-padded for new
@@ -373,15 +379,15 @@ Result<TrustService::CommitStats> TrustService::CommitLocked() {
   const size_t num_users = staged.num_users();
   const size_t num_categories = staged.num_categories();
   const size_t prev_users = prev != nullptr ? prev->num_users() : 0;
-  DenseMatrix affiliation(num_users, num_categories, 0.0);
+  DenseMatrix affiliation;
   {
     WOT_TIMED(commit_affiliation_ns_);
+    affiliation = DenseMatrix(num_users, num_categories, 0.0);
     for (size_t u = 0; u < num_users; ++u) {
       const bool dirty =
           u >= prev_users || (u < dirty_users_.size() && dirty_users_[u]);
       if (dirty) {
-        ComputeAffiliationRow(staged, indices,
-                              UserId(static_cast<uint32_t>(u)),
+        ComputeAffiliationRow(index, UserId(static_cast<uint32_t>(u)),
                               affiliation.Row(u));
         ++stats.affiliation_rows_recomputed;
       } else {
@@ -417,28 +423,27 @@ Result<TrustService::CommitStats> TrustService::CommitLocked() {
     }
   }
 
-  // Name directory: extend the previous snapshot's persistent index with
-  // the appended user tail (shared wholesale when no users were added),
-  // and reshare category names unless categories grew.
-  std::shared_ptr<const NameIndex> user_names = NameIndex::Extend(
-      prev != nullptr ? prev->shared_user_names() : NameIndex::Empty(),
-      staged.users());
-  std::shared_ptr<const std::vector<std::string>> category_names;
-  if (prev != nullptr &&
-      prev->category_names().size() == staged.num_categories()) {
-    category_names = prev->shared_category_names();
-  } else {
-    auto names = std::make_shared<std::vector<std::string>>();
-    names->reserve(staged.num_categories());
-    for (const Category& category : staged.categories()) {
-      names->push_back(category.name);
-    }
-    category_names = std::move(names);
-  }
-
   std::shared_ptr<const TrustSnapshot> snapshot;
   {
     WOT_TIMED(commit_publish_ns_);
+    // Name directory: extend the previous snapshot's persistent index with
+    // the appended user tail (shared wholesale when no users were added),
+    // and reshare category names unless categories grew.
+    std::shared_ptr<const NameIndex> user_names = NameIndex::Extend(
+        prev != nullptr ? prev->shared_user_names() : NameIndex::Empty(),
+        staged.users());
+    std::shared_ptr<const std::vector<std::string>> category_names;
+    if (prev != nullptr &&
+        prev->category_names().size() == staged.num_categories()) {
+      category_names = prev->shared_category_names();
+    } else {
+      auto names = std::make_shared<std::vector<std::string>>();
+      names->reserve(staged.num_categories());
+      for (const Category& category : staged.categories()) {
+        names->push_back(category.name);
+      }
+      category_names = std::move(names);
+    }
     snapshot = TrustSnapshot::Assemble(
         std::move(reputation), std::move(affiliation), std::move(postings),
         std::move(user_names), std::move(category_names), next_version_++,

@@ -87,6 +87,10 @@ class TrustService {
     size_t categories_recomputed = 0;
     size_t affiliation_rows_recomputed = 0;
     size_t postings_rebuilt = 0;
+    /// Rating entries placed into the views of the recomputed categories:
+    /// the slice of the dataset Step 1 scanned (all ratings only when
+    /// every category was dirty).
+    size_t view_ratings = 0;
     double elapsed_millis = 0.0;
   };
 
@@ -197,6 +201,15 @@ class TrustService {
     return builder_.StagedView();
   }
 
+  /// \brief The per-category index of staged_dataset(), kept current at
+  /// ingest; the next Commit() reads it. Same contract as
+  /// staged_dataset().
+  const CategoryIndex& staged_category_index() const
+      WOT_EXCLUDES(writer_mu_) {
+    MutexLock lock(writer_mu_);
+    return builder_.category_index();
+  }
+
   // --- Durability ---------------------------------------------------------
 
   /// \brief Attaches \p log (not owned; may be null to detach). Every
@@ -257,6 +270,7 @@ class TrustService {
   telemetry::LatencyHistogram* commit_postings_ns_;
   telemetry::LatencyHistogram* commit_publish_ns_;
   telemetry::LatencyHistogram* commit_dirty_categories_;
+  telemetry::LatencyHistogram* commit_view_ratings_;
 
   // Writer state: guarded by writer_mu_. Readers never touch it.
   mutable Mutex writer_mu_;

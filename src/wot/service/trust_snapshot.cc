@@ -8,12 +8,11 @@
 namespace wot {
 
 Result<std::shared_ptr<const TrustSnapshot>> TrustSnapshot::Build(
-    const Dataset& dataset, const DatasetIndices& indices,
-    const SnapshotOptions& options) {
-  WOT_ASSIGN_OR_RETURN(
-      ReputationResult reputation,
-      ComputeReputations(dataset, indices, options.reputation));
-  DenseMatrix affiliation = ComputeAffiliationMatrix(dataset, indices);
+    const Dataset& dataset, const SnapshotOptions& options) {
+  const CategoryIndex index(dataset);
+  WOT_ASSIGN_OR_RETURN(ReputationResult reputation,
+                       ComputeReputations(dataset, index, options.reputation));
+  DenseMatrix affiliation = ComputeAffiliationMatrix(index);
 
   std::vector<ExpertisePostingPtr> postings;
   if (options.build_postings) {

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "wot/community/dataset.h"
-#include "wot/community/indices.h"
 #include "wot/core/trust_derivation.h"
 #include "wot/linalg/dense_matrix.h"
 #include "wot/reputation/engine.h"
@@ -75,10 +74,9 @@ struct TrustExplanation {
 class TrustSnapshot {
  public:
   /// \brief One-shot construction: Steps 1-3 from scratch over \p dataset.
-  /// \p indices must describe \p dataset. The snapshot gets version 1.
+  /// The snapshot gets version 1.
   static Result<std::shared_ptr<const TrustSnapshot>> Build(
-      const Dataset& dataset, const DatasetIndices& indices,
-      const SnapshotOptions& options = {});
+      const Dataset& dataset, const SnapshotOptions& options = {});
 
   /// \brief Assembles a snapshot from precomputed components. \p postings
   /// must be empty (no top-k acceleration) or have one non-null entry per

@@ -1,6 +1,7 @@
 #include "wot/util/parallel_for.h"
 
 #include <algorithm>
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -15,28 +16,26 @@ void ParallelFor(size_t count, const std::function<void(size_t)>& body,
     num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
   num_threads = std::min(num_threads, count);
-  if (num_threads <= 1 || count < 2) {
+  if (num_threads <= 1) {
     for (size_t i = 0; i < count; ++i) {
       body(i);
     }
     return;
   }
-  // Contiguous chunks: iteration i handled by thread i*num_threads/count.
-  std::vector<std::thread> threads;
-  threads.reserve(num_threads);
-  const size_t chunk = (count + num_threads - 1) / num_threads;
-  for (size_t t = 0; t < num_threads; ++t) {
-    const size_t begin = t * chunk;
-    const size_t end = std::min(begin + chunk, count);
-    if (begin >= end) {
-      break;
+  // Workers claim the next unclaimed index, so an expensive iteration
+  // delays only the worker running it while the others drain the rest.
+  std::atomic<size_t> next{0};
+  auto worker = [&] {
+    for (size_t i = next++; i < count; i = next++) {
+      body(i);
     }
-    threads.emplace_back([begin, end, &body] {
-      for (size_t i = begin; i < end; ++i) {
-        body(i);
-      }
-    });
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(num_threads - 1);
+  for (size_t t = 1; t < num_threads; ++t) {
+    threads.emplace_back(worker);
   }
+  worker();
   for (auto& th : threads) {
     th.join();
   }

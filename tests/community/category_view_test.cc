@@ -2,20 +2,152 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+#include <vector>
+
 #include "testing/fixtures.h"
+#include "wot/community/indices.h"
+#include "wot/synth/generator.h"
 
 namespace wot {
 namespace {
+
+// The view as the DatasetIndices-based constructor laid it out (hash-map
+// remaps over the dataset-wide review and rating groupings). The Riggs sums
+// run in these orders, so the index-based constructor must reproduce every
+// field exactly.
+struct ReferenceView {
+  std::vector<ReviewId> review_ids;
+  std::vector<UserId> writer_ids;
+  std::vector<UserId> rater_ids;
+  std::vector<uint32_t> review_writer;
+  std::vector<std::vector<std::pair<uint32_t, double>>> review_ratings;
+};
+
+ReferenceView BuildReference(const Dataset& dataset,
+                             const DatasetIndices& indices,
+                             CategoryId category) {
+  ReferenceView ref;
+  auto reviews = indices.ReviewsInCategory(category);
+  ref.review_ids.assign(reviews.begin(), reviews.end());
+  std::unordered_map<uint32_t, uint32_t> writer_local;
+  std::unordered_map<uint32_t, uint32_t> rater_local;
+  for (ReviewId review : ref.review_ids) {
+    UserId writer = dataset.review(review).writer;
+    auto [w, new_writer] = writer_local.emplace(
+        writer.value(), static_cast<uint32_t>(ref.writer_ids.size()));
+    if (new_writer) ref.writer_ids.push_back(writer);
+    ref.review_writer.push_back(w->second);
+    auto& ratings = ref.review_ratings.emplace_back();
+    for (const auto& rating : indices.RatingsOfReview(review)) {
+      auto [x, new_rater] = rater_local.emplace(
+          rating.rater.value(), static_cast<uint32_t>(ref.rater_ids.size()));
+      if (new_rater) ref.rater_ids.push_back(rating.rater);
+      ratings.emplace_back(x->second, rating.value);
+    }
+  }
+  return ref;
+}
+
+// Field-by-field equality, including the rater- and writer-side groupings
+// (each must list its entries in ascending local review order).
+void ExpectMatchesReference(const CategoryView& view,
+                            const ReferenceView& ref) {
+  ASSERT_EQ(view.num_reviews(), ref.review_ids.size());
+  ASSERT_EQ(view.num_writers(), ref.writer_ids.size());
+  ASSERT_EQ(view.num_raters(), ref.rater_ids.size());
+  std::vector<std::vector<CategoryView::RaterSideRating>> by_rater(
+      ref.rater_ids.size());
+  std::vector<std::vector<uint32_t>> by_writer(ref.writer_ids.size());
+  size_t num_ratings = 0;
+  for (size_t lr = 0; lr < ref.review_ids.size(); ++lr) {
+    EXPECT_EQ(view.review_id(lr), ref.review_ids[lr]);
+    EXPECT_EQ(view.WriterOfReview(lr), ref.review_writer[lr]);
+    by_writer[ref.review_writer[lr]].push_back(static_cast<uint32_t>(lr));
+    auto ratings = view.RatingsOfReview(lr);
+    ASSERT_EQ(ratings.size(), ref.review_ratings[lr].size());
+    for (size_t k = 0; k < ratings.size(); ++k) {
+      EXPECT_EQ(ratings[k].local_rater, ref.review_ratings[lr][k].first);
+      EXPECT_EQ(ratings[k].value, ref.review_ratings[lr][k].second);
+      by_rater[ref.review_ratings[lr][k].first].push_back(
+          {static_cast<uint32_t>(lr), ref.review_ratings[lr][k].second});
+    }
+    num_ratings += ratings.size();
+  }
+  EXPECT_EQ(view.num_ratings(), num_ratings);
+  for (size_t lw = 0; lw < ref.writer_ids.size(); ++lw) {
+    EXPECT_EQ(view.writer_id(lw), ref.writer_ids[lw]);
+    auto reviews = view.ReviewsOfWriter(lw);
+    EXPECT_EQ(std::vector<uint32_t>(reviews.begin(), reviews.end()),
+              by_writer[lw]);
+  }
+  for (size_t lx = 0; lx < ref.rater_ids.size(); ++lx) {
+    EXPECT_EQ(view.rater_id(lx), ref.rater_ids[lx]);
+    auto ratings = view.RatingsByRater(lx);
+    ASSERT_EQ(ratings.size(), by_rater[lx].size());
+    for (size_t k = 0; k < ratings.size(); ++k) {
+      EXPECT_EQ(ratings[k].local_review, by_rater[lx][k].local_review);
+      EXPECT_EQ(ratings[k].value, by_rater[lx][k].value);
+    }
+  }
+}
+
+// Replays \p dataset through a builder, so its index is the one maintained
+// append by append rather than built in one pass.
+CategoryIndex MaintainedIndex(const Dataset& dataset) {
+  DatasetBuilder builder;
+  for (const auto& category : dataset.categories()) {
+    builder.AddCategory(category.name);
+  }
+  for (const auto& user : dataset.users()) {
+    builder.AddUser(user.name);
+  }
+  for (const auto& object : dataset.objects()) {
+    WOT_CHECK(builder.AddObject(object.category, object.name).ok());
+  }
+  for (const auto& review : dataset.reviews()) {
+    WOT_CHECK(builder.AddReview(review.writer, review.object).ok());
+  }
+  for (const auto& rating : dataset.ratings()) {
+    WOT_CHECK_OK(builder.AddRating(rating.rater, rating.review, rating.value));
+  }
+  return builder.category_index();
+}
+
+void ExpectViewsMatchReference(const Dataset& dataset) {
+  const DatasetIndices indices(dataset);
+  const CategoryIndex one_pass(dataset);
+  const CategoryIndex maintained = MaintainedIndex(dataset);
+  EXPECT_EQ(maintained, one_pass);
+  for (const auto& category : dataset.categories()) {
+    SCOPED_TRACE(category.name);
+    const ReferenceView ref = BuildReference(dataset, indices, category.id);
+    ExpectMatchesReference(CategoryView(dataset, one_pass, category.id), ref);
+    ExpectMatchesReference(CategoryView(dataset, maintained, category.id),
+                           ref);
+  }
+}
+
+TEST(CategoryViewReferenceTest, TinyCommunityMatchesGroupedIndices) {
+  ExpectViewsMatchReference(testing::TinyCommunity());
+}
+
+TEST(CategoryViewReferenceTest, SynthCommunityMatchesGroupedIndices) {
+  SynthConfig config;
+  config.num_users = 300;
+  config.max_ratings_per_user = 40.0;
+  ExpectViewsMatchReference(GenerateCommunity(config).ValueOrDie().dataset);
+}
 
 class CategoryViewTest : public ::testing::Test {
  protected:
   CategoryViewTest()
       : dataset_(testing::TinyCommunity()),
-        indices_(dataset_),
-        movies_(dataset_, indices_, CategoryId(0)),
-        books_(dataset_, indices_, CategoryId(1)) {}
+        index_(dataset_),
+        movies_(dataset_, index_, CategoryId(0)),
+        books_(dataset_, index_, CategoryId(1)) {}
   Dataset dataset_;
-  DatasetIndices indices_;
+  CategoryIndex index_;
   CategoryView movies_;
   CategoryView books_;
 };
@@ -89,8 +221,8 @@ TEST_F(CategoryViewTest, EmptyCategory) {
   builder.AddCategory("empty");
   builder.AddUser("u");
   Dataset ds = builder.Build().ValueOrDie();
-  DatasetIndices indices(ds);
-  CategoryView view(ds, indices, CategoryId(0));
+  CategoryIndex index(ds);
+  CategoryView view(ds, index, CategoryId(0));
   EXPECT_EQ(view.num_reviews(), 0u);
   EXPECT_EQ(view.num_writers(), 0u);
   EXPECT_EQ(view.num_raters(), 0u);
@@ -104,8 +236,8 @@ TEST_F(CategoryViewTest, ReviewWithNoRatings) {
   ObjectId obj = builder.AddObject(cat, "o").ValueOrDie();
   ASSERT_TRUE(builder.AddReview(writer, obj).ok());
   Dataset ds = builder.Build().ValueOrDie();
-  DatasetIndices indices(ds);
-  CategoryView view(ds, indices, CategoryId(0));
+  CategoryIndex index(ds);
+  CategoryView view(ds, index, CategoryId(0));
   EXPECT_EQ(view.num_reviews(), 1u);
   EXPECT_EQ(view.num_raters(), 0u);
   EXPECT_TRUE(view.RatingsOfReview(0).empty());

@@ -55,22 +55,6 @@ TEST_F(IndicesTest, ReviewsInCategory) {
   EXPECT_EQ(books[0], ReviewId(1));
 }
 
-TEST_F(IndicesTest, WriteCounts) {
-  EXPECT_EQ(indices_.WriteCount(UserId(0), CategoryId(0)), 1u);
-  EXPECT_EQ(indices_.WriteCount(UserId(0), CategoryId(1)), 1u);
-  EXPECT_EQ(indices_.WriteCount(UserId(1), CategoryId(0)), 1u);
-  EXPECT_EQ(indices_.WriteCount(UserId(1), CategoryId(1)), 0u);
-  EXPECT_EQ(indices_.WriteCount(UserId(2), CategoryId(0)), 0u);
-}
-
-TEST_F(IndicesTest, RateCounts) {
-  EXPECT_EQ(indices_.RateCount(UserId(2), CategoryId(0)), 2u);
-  EXPECT_EQ(indices_.RateCount(UserId(2), CategoryId(1)), 1u);
-  EXPECT_EQ(indices_.RateCount(UserId(3), CategoryId(0)), 1u);
-  EXPECT_EQ(indices_.RateCount(UserId(3), CategoryId(1)), 0u);
-  EXPECT_EQ(indices_.RateCount(UserId(0), CategoryId(0)), 0u);
-}
-
 TEST_F(IndicesTest, Dimensions) {
   EXPECT_EQ(indices_.num_users(), 4u);
   EXPECT_EQ(indices_.num_categories(), 2u);
@@ -85,7 +69,6 @@ TEST(IndicesEmptyTest, EmptyDatasetYieldsEmptyIndices) {
   EXPECT_TRUE(indices.ReviewsByUser(UserId(0)).empty());
   EXPECT_TRUE(indices.RatingsByUser(UserId(0)).empty());
   EXPECT_TRUE(indices.ReviewsInCategory(CategoryId(0)).empty());
-  EXPECT_EQ(indices.WriteCount(UserId(0), CategoryId(0)), 0u);
 }
 
 TEST(IndicesSumTest, TotalsAreConsistent) {

@@ -9,8 +9,7 @@ namespace {
 
 TEST(AffiliationTest, TinyCommunityHandComputed) {
   Dataset ds = testing::TinyCommunity();
-  DatasetIndices indices(ds);
-  DenseMatrix a = ComputeAffiliationMatrix(ds, indices);
+  DenseMatrix a = ComputeAffiliationMatrix(CategoryIndex(ds));
   ASSERT_EQ(a.rows(), 4u);
   ASSERT_EQ(a.cols(), 2u);
   // u0 writes one review in each category, rates nothing:
@@ -34,8 +33,7 @@ TEST(AffiliationTest, InactiveUserHasZeroRow) {
   builder.AddCategory("c");
   builder.AddUser("ghost");
   Dataset ds = builder.Build().ValueOrDie();
-  DatasetIndices indices(ds);
-  DenseMatrix a = ComputeAffiliationMatrix(ds, indices);
+  DenseMatrix a = ComputeAffiliationMatrix(CategoryIndex(ds));
   EXPECT_DOUBLE_EQ(a.At(0, 0), 0.0);
 }
 
@@ -53,8 +51,7 @@ TEST(AffiliationTest, PureWriterGetsFullWriteTerm) {
   // writer: writes in c1 only, rates in c0 only.
   WOT_CHECK_OK(builder.AddRating(writer, their0, 0.8));
   Dataset ds = builder.Build().ValueOrDie();
-  DatasetIndices indices(ds);
-  DenseMatrix a = ComputeAffiliationMatrix(ds, indices);
+  DenseMatrix a = ComputeAffiliationMatrix(CategoryIndex(ds));
   // writer (id 0): c0 rate-term 1, write-term 0 -> 0.5;
   //                c1 rate-term 0, write-term 1 -> 0.5.
   EXPECT_NEAR(a.At(0, 0), 0.5, 1e-12);
@@ -81,16 +78,14 @@ TEST(AffiliationTest, MaxNormalizationIsPerUser) {
     }
   }
   Dataset ds = builder.Build().ValueOrDie();
-  DatasetIndices indices(ds);
-  DenseMatrix a = ComputeAffiliationMatrix(ds, indices);
+  DenseMatrix a = ComputeAffiliationMatrix(CategoryIndex(ds));
   EXPECT_NEAR(a.At(1, 0), a.At(2, 0), 1e-12);
   EXPECT_NEAR(a.At(1, 0), 0.5, 1e-12);
 }
 
 TEST(AffiliationTest, ValuesAlwaysInUnitInterval) {
   Dataset ds = testing::TinyCommunity();
-  DatasetIndices indices(ds);
-  DenseMatrix a = ComputeAffiliationMatrix(ds, indices);
+  DenseMatrix a = ComputeAffiliationMatrix(CategoryIndex(ds));
   EXPECT_TRUE(a.AllInRange(0.0, 1.0));
 }
 
@@ -99,8 +94,7 @@ TEST(AffiliationTest, TopCategoryOfBalancedUserScoresHalfOrMore) {
   // and max rate count scores exactly (1 + 1)/2 = 1 when those maxima
   // coincide, at least 0.5 otherwise.
   Dataset ds = testing::TinyCommunity();
-  DatasetIndices indices(ds);
-  DenseMatrix a = ComputeAffiliationMatrix(ds, indices);
+  DenseMatrix a = ComputeAffiliationMatrix(CategoryIndex(ds));
   // u2's top category is movies: affiliation 0.5 (rates only).
   EXPECT_GE(a.RowMax(2), 0.5 - 1e-12);
 }

@@ -9,14 +9,14 @@ namespace {
 
 class EngineTest : public ::testing::Test {
  protected:
-  EngineTest() : dataset_(testing::TinyCommunity()), indices_(dataset_) {}
+  EngineTest() : dataset_(testing::TinyCommunity()), index_(dataset_) {}
   Dataset dataset_;
-  DatasetIndices indices_;
+  CategoryIndex index_;
 };
 
 TEST_F(EngineTest, MatrixShapes) {
   auto result =
-      ComputeReputations(dataset_, indices_, ReputationOptions{})
+      ComputeReputations(dataset_, index_, ReputationOptions{})
           .ValueOrDie();
   EXPECT_EQ(result.expertise.rows(), 4u);
   EXPECT_EQ(result.expertise.cols(), 2u);
@@ -28,7 +28,7 @@ TEST_F(EngineTest, MatrixShapes) {
 
 TEST_F(EngineTest, HandComputableEntries) {
   auto result =
-      ComputeReputations(dataset_, indices_, ReputationOptions{})
+      ComputeReputations(dataset_, index_, ReputationOptions{})
           .ValueOrDie();
   // u1's only movies review has one rating (0.2): E = 0.2 * (1/2) = 0.1.
   EXPECT_NEAR(result.expertise.At(1, 0), 0.1, 1e-12);
@@ -42,7 +42,7 @@ TEST_F(EngineTest, HandComputableEntries) {
 
 TEST_F(EngineTest, InactiveEntriesAreZero) {
   auto result =
-      ComputeReputations(dataset_, indices_, ReputationOptions{})
+      ComputeReputations(dataset_, index_, ReputationOptions{})
           .ValueOrDie();
   // u2 and u3 write nothing.
   EXPECT_DOUBLE_EQ(result.expertise.At(2, 0), 0.0);
@@ -58,7 +58,7 @@ TEST_F(EngineTest, InactiveEntriesAreZero) {
 
 TEST_F(EngineTest, AllEntriesInUnitInterval) {
   auto result =
-      ComputeReputations(dataset_, indices_, ReputationOptions{})
+      ComputeReputations(dataset_, index_, ReputationOptions{})
           .ValueOrDie();
   EXPECT_TRUE(result.expertise.AllInRange(0.0, 1.0));
   EXPECT_TRUE(result.rater_reputation.AllInRange(0.0, 1.0));
@@ -70,7 +70,7 @@ TEST_F(EngineTest, AllEntriesInUnitInterval) {
 
 TEST_F(EngineTest, AllCategoriesConverge) {
   auto result =
-      ComputeReputations(dataset_, indices_, ReputationOptions{})
+      ComputeReputations(dataset_, index_, ReputationOptions{})
           .ValueOrDie();
   for (const auto& info : result.convergence) {
     EXPECT_TRUE(info.converged);
@@ -83,8 +83,8 @@ TEST_F(EngineTest, ThreadCountDoesNotChangeResults) {
   serial.num_threads = 1;
   ReputationOptions parallel;
   parallel.num_threads = 4;
-  auto a = ComputeReputations(dataset_, indices_, serial).ValueOrDie();
-  auto b = ComputeReputations(dataset_, indices_, parallel).ValueOrDie();
+  auto a = ComputeReputations(dataset_, index_, serial).ValueOrDie();
+  auto b = ComputeReputations(dataset_, index_, parallel).ValueOrDie();
   EXPECT_DOUBLE_EQ(DenseMatrix::MaxAbsDiff(a.expertise, b.expertise), 0.0);
   EXPECT_DOUBLE_EQ(
       DenseMatrix::MaxAbsDiff(a.rater_reputation, b.rater_reputation), 0.0);
@@ -94,17 +94,17 @@ TEST_F(EngineTest, ThreadCountDoesNotChangeResults) {
 TEST_F(EngineTest, InvalidOptionsRejected) {
   ReputationOptions bad_tol;
   bad_tol.tolerance = 0.0;
-  EXPECT_FALSE(ComputeReputations(dataset_, indices_, bad_tol).ok());
+  EXPECT_FALSE(ComputeReputations(dataset_, index_, bad_tol).ok());
   ReputationOptions bad_iters;
   bad_iters.max_iterations = 0;
-  EXPECT_FALSE(ComputeReputations(dataset_, indices_, bad_iters).ok());
+  EXPECT_FALSE(ComputeReputations(dataset_, index_, bad_iters).ok());
 }
 
 TEST(EngineEmptyTest, EmptyDatasetProducesEmptyMatrices) {
   Dataset ds;  // no users, no categories
-  DatasetIndices indices(ds);
+  CategoryIndex index(ds);
   auto result =
-      ComputeReputations(ds, indices, ReputationOptions{}).ValueOrDie();
+      ComputeReputations(ds, index, ReputationOptions{}).ValueOrDie();
   EXPECT_EQ(result.expertise.rows(), 0u);
   EXPECT_EQ(result.review_quality.size(), 0u);
 }

@@ -21,19 +21,19 @@ void ExpectSameResult(const ReputationResult& a, const ReputationResult& b) {
 TEST(IncrementalTest, FullRebuildMatchesEngine) {
   Dataset ds = testing::TinyCommunity();
   IncrementalReputationEngine engine;
-  ASSERT_TRUE(engine.FullRebuild(ds).ok());
-  DatasetIndices indices(ds);
-  auto direct =
-      ComputeReputations(ds, indices, ReputationOptions{}).ValueOrDie();
+  ASSERT_TRUE(engine.FullRebuild(ds, CategoryIndex(ds)).ok());
+  auto direct = ComputeReputations(ds, CategoryIndex(ds),
+                                   ReputationOptions{})
+                    .ValueOrDie();
   ExpectSameResult(engine.result(), direct);
 }
 
 TEST(IncrementalTest, UpdateWithoutChangeRecomputesNothing) {
   Dataset ds = testing::TinyCommunity();
   IncrementalReputationEngine engine;
-  ASSERT_TRUE(engine.FullRebuild(ds).ok());
+  ASSERT_TRUE(engine.FullRebuild(ds, CategoryIndex(ds)).ok());
   size_t recomputed = 99;
-  ASSERT_TRUE(engine.Update(ds, &recomputed).ok());
+  ASSERT_TRUE(engine.Update(ds, CategoryIndex(ds), &recomputed).ok());
   EXPECT_EQ(recomputed, 0u);
 }
 
@@ -60,19 +60,20 @@ TEST(IncrementalTest, NewRatingDirtiesOnlyItsCategory) {
   // Version 1 has exactly TinyCommunity's activity; seed the engine from
   // the fixture (identical content).
   IncrementalReputationEngine engine;
-  ASSERT_TRUE(engine.FullRebuild(testing::TinyCommunity()).ok());
+  const Dataset v1 = testing::TinyCommunity();
+  ASSERT_TRUE(engine.FullRebuild(v1, CategoryIndex(v1)).ok());
 
   // Version 2: one extra books rating.
   WOT_CHECK_OK(builder.AddRating(u3, r1, 0.8));
   Dataset v2 = builder.Build().ValueOrDie();
 
   size_t recomputed = 0;
-  ASSERT_TRUE(engine.Update(v2, &recomputed).ok());
+  ASSERT_TRUE(engine.Update(v2, CategoryIndex(v2), &recomputed).ok());
   EXPECT_EQ(recomputed, 1u);  // books only
 
-  DatasetIndices indices(v2);
-  auto direct =
-      ComputeReputations(v2, indices, ReputationOptions{}).ValueOrDie();
+  auto direct = ComputeReputations(v2, CategoryIndex(v2),
+                                   ReputationOptions{})
+                    .ValueOrDie();
   ExpectSameResult(engine.result(), direct);
 }
 
@@ -83,7 +84,10 @@ TEST(IncrementalTest, GrowsForNewUsersAndReviews) {
   SynthCommunity community = GenerateCommunity(config).ValueOrDie();
 
   IncrementalReputationEngine engine;
-  ASSERT_TRUE(engine.FullRebuild(community.dataset).ok());
+  ASSERT_TRUE(engine
+                  .FullRebuild(community.dataset,
+                               CategoryIndex(community.dataset))
+                  .ok());
 
   // Append a new user with a review and a rating (append-only growth).
   DatasetBuilder builder;
@@ -112,12 +116,12 @@ TEST(IncrementalTest, GrowsForNewUsersAndReviews) {
   Dataset grown = builder.Build().ValueOrDie();
 
   size_t recomputed = 0;
-  ASSERT_TRUE(engine.Update(grown, &recomputed).ok());
+  ASSERT_TRUE(engine.Update(grown, CategoryIndex(grown), &recomputed).ok());
   EXPECT_EQ(recomputed, 1u);
 
-  DatasetIndices indices(grown);
-  auto direct =
-      ComputeReputations(grown, indices, ReputationOptions{}).ValueOrDie();
+  auto direct = ComputeReputations(grown, CategoryIndex(grown),
+                                   ReputationOptions{})
+                    .ValueOrDie();
   ExpectSameResult(engine.result(), direct);
   // The newcomer has expertise in category 0 now.
   EXPECT_GT(engine.result().expertise.At(newcomer.index(), 0), 0.0);
@@ -129,9 +133,10 @@ TEST(IncrementalTest, RejectsShrinkingDataset) {
   config.max_ratings_per_user = 10.0;
   SynthCommunity big = GenerateCommunity(config).ValueOrDie();
   IncrementalReputationEngine engine;
-  ASSERT_TRUE(engine.FullRebuild(big.dataset).ok());
+  ASSERT_TRUE(
+      engine.FullRebuild(big.dataset, CategoryIndex(big.dataset)).ok());
   Dataset small = testing::TinyCommunity();
-  Status s = engine.Update(small);
+  Status s = engine.Update(small, CategoryIndex(small));
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
 }
@@ -140,7 +145,7 @@ TEST(IncrementalTest, FullRebuildReportsAllCategoriesRecomputed) {
   Dataset ds = testing::TinyCommunity();
   IncrementalReputationEngine engine;
   EXPECT_TRUE(engine.last_recomputed_categories().empty());
-  ASSERT_TRUE(engine.FullRebuild(ds).ok());
+  ASSERT_TRUE(engine.FullRebuild(ds, CategoryIndex(ds)).ok());
   EXPECT_EQ(engine.last_recomputed_categories(),
             (std::vector<size_t>{0, 1}));
 }
@@ -148,8 +153,8 @@ TEST(IncrementalTest, FullRebuildReportsAllCategoriesRecomputed) {
 TEST(IncrementalTest, NoOpUpdateReportsNoRecomputedCategories) {
   Dataset ds = testing::TinyCommunity();
   IncrementalReputationEngine engine;
-  ASSERT_TRUE(engine.FullRebuild(ds).ok());
-  ASSERT_TRUE(engine.Update(ds).ok());
+  ASSERT_TRUE(engine.FullRebuild(ds, CategoryIndex(ds)).ok());
+  ASSERT_TRUE(engine.Update(ds, CategoryIndex(ds)).ok());
   EXPECT_TRUE(engine.last_recomputed_categories().empty());
 }
 
@@ -174,11 +179,12 @@ TEST(IncrementalTest, UpdateReportsExactlyTheDirtyCategories) {
   WOT_CHECK_OK(builder.AddRating(u3, r0, 0.8));
 
   IncrementalReputationEngine engine;
-  ASSERT_TRUE(engine.FullRebuild(testing::TinyCommunity()).ok());
+  const Dataset v1 = testing::TinyCommunity();
+  ASSERT_TRUE(engine.FullRebuild(v1, CategoryIndex(v1)).ok());
 
   WOT_CHECK_OK(builder.AddRating(u3, r1, 0.8));
   Dataset v2 = builder.Build().ValueOrDie();
-  ASSERT_TRUE(engine.Update(v2).ok());
+  ASSERT_TRUE(engine.Update(v2, CategoryIndex(v2)).ok());
   EXPECT_EQ(engine.last_recomputed_categories(),
             (std::vector<size_t>{books.index()}));
 }
@@ -188,7 +194,7 @@ TEST(IncrementalTest, UpdateBeforeRebuildActsAsRebuild) {
   IncrementalReputationEngine engine;
   EXPECT_FALSE(engine.initialized());
   size_t recomputed = 0;
-  ASSERT_TRUE(engine.Update(ds, &recomputed).ok());
+  ASSERT_TRUE(engine.Update(ds, CategoryIndex(ds), &recomputed).ok());
   EXPECT_EQ(recomputed, 2u);  // both categories
   EXPECT_TRUE(engine.initialized());
 }

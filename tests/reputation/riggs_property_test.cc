@@ -50,8 +50,8 @@ class RiggsPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RiggsPropertyTest, QualitiesAndReputationsStayInUnitInterval) {
   Dataset ds = RandomCategory(GetParam(), 4, 3, 8);
-  DatasetIndices indices(ds);
-  CategoryView view(ds, indices, CategoryId(0));
+  CategoryIndex index(ds);
+  CategoryView view(ds, index, CategoryId(0));
   RiggsResult result = RiggsFixedPoint(view, ReputationOptions{});
   for (double q : result.review_quality) {
     EXPECT_GE(q, 0.0);
@@ -71,8 +71,8 @@ TEST_P(RiggsPropertyTest, QualitiesAndReputationsStayInUnitInterval) {
 
 TEST_P(RiggsPropertyTest, Converges) {
   Dataset ds = RandomCategory(GetParam(), 4, 3, 8);
-  DatasetIndices indices(ds);
-  CategoryView view(ds, indices, CategoryId(0));
+  CategoryIndex index(ds);
+  CategoryView view(ds, index, CategoryId(0));
   RiggsResult result = RiggsFixedPoint(view, ReputationOptions{});
   EXPECT_TRUE(result.convergence.converged)
       << "delta after " << result.convergence.iterations << " iterations: "
@@ -83,8 +83,8 @@ TEST_P(RiggsPropertyTest, FixedPointIsSelfConsistent) {
   // Re-applying one eq.-1 sweep at the converged state must not move the
   // qualities by more than the tolerance.
   Dataset ds = RandomCategory(GetParam(), 4, 3, 8);
-  DatasetIndices indices(ds);
-  CategoryView view(ds, indices, CategoryId(0));
+  CategoryIndex index(ds);
+  CategoryView view(ds, index, CategoryId(0));
   ReputationOptions options;
   RiggsResult result = RiggsFixedPoint(view, options);
   std::vector<double> requality;
@@ -99,8 +99,8 @@ TEST_P(RiggsPropertyTest, QualityBoundedByRatingRange) {
   // A rated review's quality is a convex combination of its ratings, so it
   // must lie within [min rating, max rating].
   Dataset ds = RandomCategory(GetParam(), 3, 2, 6);
-  DatasetIndices indices(ds);
-  CategoryView view(ds, indices, CategoryId(0));
+  CategoryIndex index(ds);
+  CategoryView view(ds, index, CategoryId(0));
   RiggsResult result = RiggsFixedPoint(view, ReputationOptions{});
   for (size_t lr = 0; lr < view.num_reviews(); ++lr) {
     auto ratings = view.RatingsOfReview(lr);
@@ -121,8 +121,8 @@ TEST_P(RiggsPropertyTest, QualityBoundedByRatingRange) {
 
 TEST_P(RiggsPropertyTest, TighterToleranceNeverWorsensDelta) {
   Dataset ds = RandomCategory(GetParam(), 4, 3, 8);
-  DatasetIndices indices(ds);
-  CategoryView view(ds, indices, CategoryId(0));
+  CategoryIndex index(ds);
+  CategoryView view(ds, index, CategoryId(0));
   ReputationOptions loose;
   loose.tolerance = 1e-3;
   ReputationOptions tight;

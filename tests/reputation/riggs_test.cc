@@ -14,8 +14,8 @@ namespace {
 //   equal weights -> quality stays 0.6 -> fixed point.
 TEST(RiggsTest, SingleReviewHandComputedFixedPoint) {
   Dataset ds = testing::SingleReviewCommunity();
-  DatasetIndices indices(ds);
-  CategoryView view(ds, indices, CategoryId(0));
+  CategoryIndex index(ds);
+  CategoryView view(ds, index, CategoryId(0));
   RiggsResult result = RiggsFixedPoint(view, ReputationOptions{});
 
   ASSERT_EQ(result.review_quality.size(), 1u);
@@ -37,8 +37,8 @@ TEST(RiggsTest, SingleRaterReviewQualityEqualsRating) {
   ReviewId review = builder.AddReview(writer, obj).ValueOrDie();
   WOT_CHECK_OK(builder.AddRating(rater, review, 0.8));
   Dataset ds = builder.Build().ValueOrDie();
-  DatasetIndices indices(ds);
-  CategoryView view(ds, indices, CategoryId(0));
+  CategoryIndex index(ds);
+  CategoryView view(ds, index, CategoryId(0));
   RiggsResult result = RiggsFixedPoint(view, ReputationOptions{});
   EXPECT_NEAR(result.review_quality[0], 0.8, 1e-12);
   // Rater hit the quality exactly: rep = 1 * (1/2).
@@ -52,8 +52,8 @@ TEST(RiggsTest, UnratedReviewHasZeroQuality) {
   ObjectId obj = builder.AddObject(cat, "o").ValueOrDie();
   ASSERT_TRUE(builder.AddReview(writer, obj).ok());
   Dataset ds = builder.Build().ValueOrDie();
-  DatasetIndices indices(ds);
-  CategoryView view(ds, indices, CategoryId(0));
+  CategoryIndex index(ds);
+  CategoryView view(ds, index, CategoryId(0));
   RiggsResult result = RiggsFixedPoint(view, ReputationOptions{});
   ASSERT_EQ(result.review_quality.size(), 1u);
   EXPECT_DOUBLE_EQ(result.review_quality[0], 0.0);
@@ -65,8 +65,8 @@ TEST(RiggsTest, EmptyCategoryConverges) {
   builder.AddCategory("empty");
   builder.AddUser("u");
   Dataset ds = builder.Build().ValueOrDie();
-  DatasetIndices indices(ds);
-  CategoryView view(ds, indices, CategoryId(0));
+  CategoryIndex index(ds);
+  CategoryView view(ds, index, CategoryId(0));
   RiggsResult result = RiggsFixedPoint(view, ReputationOptions{});
   EXPECT_TRUE(result.review_quality.empty());
   EXPECT_TRUE(result.rater_reputation.empty());
@@ -89,8 +89,8 @@ TEST(RiggsTest, ExperienceDiscountRewardsVolume) {
     WOT_CHECK_OK(builder.AddRating(i < 4 ? a : b, review, 0.6));
   }
   Dataset ds = builder.Build().ValueOrDie();
-  DatasetIndices indices(ds);
-  CategoryView view(ds, indices, CategoryId(0));
+  CategoryIndex index(ds);
+  CategoryView view(ds, index, CategoryId(0));
   RiggsResult result = RiggsFixedPoint(view, ReputationOptions{});
   // Local rater ids are first-seen: a = 0, b = 1.
   EXPECT_NEAR(result.rater_reputation[0], 0.8, 1e-12);
@@ -99,8 +99,8 @@ TEST(RiggsTest, ExperienceDiscountRewardsVolume) {
 
 TEST(RiggsTest, DiscountOffGivesRawAccuracy) {
   Dataset ds = testing::SingleReviewCommunity();
-  DatasetIndices indices(ds);
-  CategoryView view(ds, indices, CategoryId(0));
+  CategoryIndex index(ds);
+  CategoryView view(ds, index, CategoryId(0));
   ReputationOptions options;
   options.use_experience_discount = false;
   RiggsResult result = RiggsFixedPoint(view, options);
@@ -125,8 +125,8 @@ TEST(RiggsTest, RaterWeightingOffIsPlainMean) {
   WOT_CHECK_OK(builder.AddRating(r2, review, 0.6));
   WOT_CHECK_OK(builder.AddRating(r3, review, 0.2));
   Dataset ds = builder.Build().ValueOrDie();
-  DatasetIndices indices(ds);
-  CategoryView view(ds, indices, CategoryId(0));
+  CategoryIndex index(ds);
+  CategoryView view(ds, index, CategoryId(0));
   ReputationOptions options;
   options.use_rater_weighting = false;
   RiggsResult result = RiggsFixedPoint(view, options);
@@ -136,8 +136,8 @@ TEST(RiggsTest, RaterWeightingOffIsPlainMean) {
 
 TEST(RiggsTest, ZeroWeightFallbackUsesPlainMean) {
   Dataset ds = testing::SingleReviewCommunity();
-  DatasetIndices indices(ds);
-  CategoryView view(ds, indices, CategoryId(0));
+  CategoryIndex index(ds);
+  CategoryView view(ds, index, CategoryId(0));
   std::vector<double> zero_reps(view.num_raters(), 0.0);
   std::vector<double> quality;
   ComputeReviewQualities(view, zero_reps, /*use_rater_weighting=*/true,
@@ -148,8 +148,8 @@ TEST(RiggsTest, ZeroWeightFallbackUsesPlainMean) {
 
 TEST(RiggsTest, DeterministicAcrossRuns) {
   Dataset ds = testing::TinyCommunity();
-  DatasetIndices indices(ds);
-  CategoryView view(ds, indices, CategoryId(0));
+  CategoryIndex index(ds);
+  CategoryView view(ds, index, CategoryId(0));
   RiggsResult a = RiggsFixedPoint(view, ReputationOptions{});
   RiggsResult b = RiggsFixedPoint(view, ReputationOptions{});
   EXPECT_EQ(a.review_quality, b.review_quality);
@@ -159,8 +159,8 @@ TEST(RiggsTest, DeterministicAcrossRuns) {
 
 TEST(RiggsTest, TinyCommunityMoviesQualities) {
   Dataset ds = testing::TinyCommunity();
-  DatasetIndices indices(ds);
-  CategoryView view(ds, indices, CategoryId(0));
+  CategoryIndex index(ds);
+  CategoryView view(ds, index, CategoryId(0));
   RiggsResult result = RiggsFixedPoint(view, ReputationOptions{});
   ASSERT_EQ(result.review_quality.size(), 2u);
   // r0 (rated 1.0 and 0.8) converges inside (0.8, 1.0); r2 has a single
@@ -175,8 +175,8 @@ TEST(RiggsTest, TinyCommunityMoviesQualities) {
 
 TEST(RiggsTest, IterationCapReportsNotConverged) {
   Dataset ds = testing::TinyCommunity();
-  DatasetIndices indices(ds);
-  CategoryView view(ds, indices, CategoryId(0));
+  CategoryIndex index(ds);
+  CategoryView view(ds, index, CategoryId(0));
   ReputationOptions options;
   options.max_iterations = 1;
   options.tolerance = 1e-15;

@@ -8,14 +8,14 @@
 namespace wot {
 namespace {
 
-CategoryView MakeView(const Dataset& ds, const DatasetIndices& indices) {
-  return CategoryView(ds, indices, CategoryId(0));
+CategoryView MakeView(const Dataset& ds, const CategoryIndex& index) {
+  return CategoryView(ds, index, CategoryId(0));
 }
 
 TEST(WriterReputationTest, SingleReviewWriter) {
   Dataset ds = testing::SingleReviewCommunity();
-  DatasetIndices indices(ds);
-  CategoryView view = MakeView(ds, indices);
+  CategoryIndex index(ds);
+  CategoryView view = MakeView(ds, index);
   RiggsResult riggs = RiggsFixedPoint(view, ReputationOptions{});
   auto reps = ComputeWriterReputations(view, riggs.review_quality,
                                        ReputationOptions{});
@@ -38,8 +38,8 @@ TEST(WriterReputationTest, AveragesQualitiesWithDiscount) {
   WOT_CHECK_OK(builder.AddRating(rater, r1, 0.6));
   WOT_CHECK_OK(builder.AddRating(rater, r2, 1.0));
   Dataset ds = builder.Build().ValueOrDie();
-  DatasetIndices indices(ds);
-  CategoryView view = MakeView(ds, indices);
+  CategoryIndex index(ds);
+  CategoryView view = MakeView(ds, index);
   RiggsResult riggs = RiggsFixedPoint(view, ReputationOptions{});
   auto reps = ComputeWriterReputations(view, riggs.review_quality,
                                        ReputationOptions{});
@@ -48,8 +48,8 @@ TEST(WriterReputationTest, AveragesQualitiesWithDiscount) {
 
 TEST(WriterReputationTest, DiscountOffIsPlainMean) {
   Dataset ds = testing::SingleReviewCommunity();
-  DatasetIndices indices(ds);
-  CategoryView view = MakeView(ds, indices);
+  CategoryIndex index(ds);
+  CategoryView view = MakeView(ds, index);
   RiggsResult riggs = RiggsFixedPoint(view, ReputationOptions{});
   ReputationOptions no_discount;
   no_discount.use_experience_discount = false;
@@ -76,8 +76,8 @@ TEST(WriterReputationTest, MoreReviewsOfEqualQualityRankHigher) {
   ReviewId r = builder.AddReview(newcomer, o).ValueOrDie();
   WOT_CHECK_OK(builder.AddRating(rater, r, 0.8));
   Dataset ds = builder.Build().ValueOrDie();
-  DatasetIndices indices(ds);
-  CategoryView view = MakeView(ds, indices);
+  CategoryIndex index(ds);
+  CategoryView view = MakeView(ds, index);
   RiggsResult riggs = RiggsFixedPoint(view, ReputationOptions{});
   auto reps = ComputeWriterReputations(view, riggs.review_quality,
                                        ReputationOptions{});
@@ -101,8 +101,8 @@ TEST(WriterReputationTest, UnratedReviewsDragTheAverageDown) {
   ASSERT_TRUE(builder.AddReview(writer, o2).ok());  // never rated
   WOT_CHECK_OK(builder.AddRating(rater, rated, 0.8));
   Dataset ds = builder.Build().ValueOrDie();
-  DatasetIndices indices(ds);
-  CategoryView view = MakeView(ds, indices);
+  CategoryIndex index(ds);
+  CategoryView view = MakeView(ds, index);
   RiggsResult riggs = RiggsFixedPoint(view, ReputationOptions{});
   auto reps = ComputeWriterReputations(view, riggs.review_quality,
                                        ReputationOptions{});
@@ -111,8 +111,8 @@ TEST(WriterReputationTest, UnratedReviewsDragTheAverageDown) {
 
 TEST(WriterReputationTest, BoundsHold) {
   Dataset ds = testing::TinyCommunity();
-  DatasetIndices indices(ds);
-  CategoryView view = MakeView(ds, indices);
+  CategoryIndex index(ds);
+  CategoryView view = MakeView(ds, index);
   RiggsResult riggs = RiggsFixedPoint(view, ReputationOptions{});
   auto reps = ComputeWriterReputations(view, riggs.review_quality,
                                        ReputationOptions{});

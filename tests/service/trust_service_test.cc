@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <random>
+#include <vector>
 
 #include "testing/fixtures.h"
 #include "wot/service/pipeline.h"
@@ -122,6 +124,93 @@ TEST(TrustServiceTest, CommitScopesRefreshToDirtyCategoriesAndUsers) {
   EXPECT_EQ(stats.categories_recomputed, 1u);
   EXPECT_EQ(stats.affiliation_rows_recomputed, 1u);
   EXPECT_EQ(stats.postings_rebuilt, 1u);
+}
+
+// The O(delta) contract: a commit places into views only the ratings of
+// the categories it dirtied.
+class CommitScanTest : public ::testing::Test {
+ protected:
+  CommitScanTest() {
+    SynthConfig config;
+    config.num_users = 200;
+    config.max_ratings_per_user = 30.0;
+    service_ = MustCreate(GenerateCommunity(config).ValueOrDie().dataset);
+  }
+
+  size_t RatingsIn(size_t category) const {
+    return service_->staged_category_index()
+        .RatingsIn(CategoryId(static_cast<uint32_t>(category)))
+        .size();
+  }
+
+  // Stages one new rating on some review of \p category.
+  void AddRatingIn(size_t category) {
+    const Dataset& staged = service_->staged_dataset();
+    for (ReviewId review : service_->staged_category_index().ReviewsIn(
+             CategoryId(static_cast<uint32_t>(category)))) {
+      for (const User& user : staged.users()) {
+        if (service_->AddRating(user.id, review, 0.6).ok()) return;
+      }
+    }
+    FAIL() << "no rating left to add in category " << category;
+  }
+
+  telemetry::HistogramSnapshot ViewRatingsHistogram() const {
+    return service_->metrics_registry()
+        ->histogram("service.commit_view_ratings")
+        ->Snapshot("service.commit_view_ratings");
+  }
+
+  std::unique_ptr<TrustService> service_;
+};
+
+TEST_F(CommitScanTest, OneDirtyCategoryScansExactlyItsRatings) {
+  const telemetry::HistogramSnapshot before = ViewRatingsHistogram();
+  AddRatingIn(3);
+  TrustService::CommitStats stats = service_->Commit().ValueOrDie();
+  ASSERT_TRUE(stats.published);
+  EXPECT_EQ(stats.categories_recomputed, 1u);
+  EXPECT_EQ(stats.view_ratings, RatingsIn(3));
+  const telemetry::HistogramSnapshot after = ViewRatingsHistogram();
+  EXPECT_EQ(after.count, before.count + 1);
+  EXPECT_EQ(after.sum - before.sum, static_cast<int64_t>(RatingsIn(3)));
+}
+
+TEST_F(CommitScanTest, AddingOnlyAUserScansNothing) {
+  service_->AddUser("newcomer");
+  TrustService::CommitStats stats = service_->Commit().ValueOrDie();
+  ASSERT_TRUE(stats.published);
+  EXPECT_EQ(stats.categories_recomputed, 0u);
+  EXPECT_EQ(stats.view_ratings, 0u);
+}
+
+TEST_F(CommitScanTest, OnlyAllDirtyCommitsScanEveryRating) {
+  const Dataset& staged = service_->staged_dataset();
+  const size_t num_categories = staged.num_categories();
+  for (size_t c = 0; c < num_categories; ++c) {
+    ASSERT_GT(RatingsIn(c), 0u) << "category " << c << " has no ratings";
+  }
+  std::mt19937_64 rng(7);
+  for (size_t round = 0; round <= num_categories; ++round) {
+    // Dirty a random subset; the last round dirties every category.
+    std::vector<size_t> dirty;
+    for (size_t c = 0; c < num_categories; ++c) {
+      if (round == num_categories || rng() % 3 == 0) {
+        AddRatingIn(c);
+        dirty.push_back(c);
+      }
+    }
+    TrustService::CommitStats stats = service_->Commit().ValueOrDie();
+    size_t expected = 0;
+    for (size_t c : dirty) expected += RatingsIn(c);
+    EXPECT_EQ(stats.categories_recomputed, dirty.size());
+    EXPECT_EQ(stats.view_ratings, expected);
+    if (dirty.size() < num_categories) {
+      EXPECT_LT(stats.view_ratings, staged.num_ratings());
+    } else {
+      EXPECT_EQ(stats.view_ratings, staged.num_ratings());
+    }
+  }
 }
 
 TEST(TrustServiceTest, CleanCategoryPostingsAreSharedAcrossSnapshots) {

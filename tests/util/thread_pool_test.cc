@@ -144,6 +144,28 @@ TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
   }
 }
 
+TEST(ParallelForTest, EveryIndexRunsOnceForAnyThreadCount) {
+  constexpr size_t kCount = 37;
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, kCount + 5}) {
+    std::vector<std::atomic<int>> hits(kCount);
+    ParallelFor(
+        kCount,
+        [&](size_t i) {
+          // Uneven iterations: the early (expensive) ones keep their
+          // workers busy while the others claim the rest.
+          if (i < 3) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          }
+          hits[i].fetch_add(1);
+        },
+        threads);
+    for (size_t i = 0; i < kCount; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "index " << i << ", threads "
+                                   << threads;
+    }
+  }
+}
+
 TEST(ParallelForTest, ZeroCountIsNoop) {
   bool called = false;
   ParallelFor(0, [&](size_t) { called = true; }, 4);
