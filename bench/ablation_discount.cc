@@ -8,9 +8,9 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "wot/core/pipeline.h"
 #include "wot/eval/quartile.h"
 #include "wot/eval/rank_correlation.h"
+#include "wot/service/pipeline.h"
 #include "wot/util/check.h"
 #include "wot/util/string_util.h"
 #include "wot/util/table_printer.h"

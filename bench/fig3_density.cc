@@ -5,8 +5,8 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "wot/core/pipeline.h"
 #include "wot/eval/density.h"
+#include "wot/service/pipeline.h"
 #include "wot/util/check.h"
 #include "wot/util/stopwatch.h"
 #include "wot/util/string_util.h"

@@ -7,7 +7,7 @@
 
 #include "bench_util.h"
 #include "wot/core/binarization.h"
-#include "wot/core/pipeline.h"
+#include "wot/service/pipeline.h"
 
 namespace wot {
 namespace {

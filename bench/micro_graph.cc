@@ -6,12 +6,12 @@
 
 #include "bench_util.h"
 #include "wot/core/binarization.h"
-#include "wot/core/pipeline.h"
 #include "wot/graph/appleseed.h"
 #include "wot/graph/eigen_trust.h"
 #include "wot/graph/guha_propagation.h"
 #include "wot/graph/mole_trust.h"
 #include "wot/graph/tidal_trust.h"
+#include "wot/service/pipeline.h"
 
 namespace wot {
 namespace {

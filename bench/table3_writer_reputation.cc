@@ -6,8 +6,8 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "wot/core/pipeline.h"
 #include "wot/eval/quartile.h"
+#include "wot/service/pipeline.h"
 #include "wot/util/check.h"
 #include "wot/util/string_util.h"
 #include "wot/util/stopwatch.h"

@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "wot/community/dataset_builder.h"
-#include "wot/core/pipeline.h"
+#include "wot/service/pipeline.h"
 #include "wot/util/check.h"
 
 int main() {

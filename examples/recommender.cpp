@@ -18,8 +18,8 @@
 
 #include "wot/community/dataset_builder.h"
 #include "wot/community/indices.h"
-#include "wot/core/pipeline.h"
 #include "wot/eval/calibration.h"
+#include "wot/service/pipeline.h"
 #include "wot/synth/generator.h"
 #include "wot/util/check.h"
 #include "wot/util/flags.h"

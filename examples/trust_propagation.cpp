@@ -7,13 +7,13 @@
 #include <cstdio>
 
 #include "wot/core/binarization.h"
-#include "wot/core/pipeline.h"
 #include "wot/eval/rank_correlation.h"
 #include "wot/linalg/vector_ops.h"
 #include "wot/graph/appleseed.h"
 #include "wot/graph/eigen_trust.h"
 #include "wot/graph/guha_propagation.h"
 #include "wot/graph/propagation_eval.h"
+#include "wot/service/pipeline.h"
 #include "wot/synth/generator.h"
 #include "wot/util/check.h"
 #include "wot/util/flags.h"

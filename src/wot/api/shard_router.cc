@@ -15,21 +15,16 @@ namespace wot {
 namespace api {
 
 Result<std::unique_ptr<ShardRouter>> ShardRouter::Create(
-    const Dataset& seed, size_t num_shards,
-    const TrustServiceOptions& options) {
-  if (num_shards < 1) {
-    return Status::InvalidArgument("num_shards must be >= 1, got " +
-                                   std::to_string(num_shards));
-  }
-  WOT_ASSIGN_OR_RETURN(
-      std::vector<Dataset> slices,
-      SliceDatasetByUser(seed, num_shards, options.builder));
+    Dataset seed, size_t num_shards, const TrustServiceOptions& options) {
+  const int64_t seed_users = static_cast<int64_t>(seed.num_users());
+  WOT_ASSIGN_OR_RETURN(std::vector<Dataset> slices,
+                       SliceDatasetByUser(std::move(seed), num_shards));
   std::unique_ptr<ShardRouter> router(new ShardRouter());
   router->shards_.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
     auto shard = std::make_unique<Shard>();
     WOT_ASSIGN_OR_RETURN(shard->service,
-                         TrustService::Create(slices[s], options));
+                         TrustService::Create(std::move(slices[s]), options));
     shard->frontend =
         std::make_unique<ServiceFrontend>(shard->service.get());
     router->shards_.push_back(std::move(shard));
@@ -38,7 +33,7 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Create(
   // The router is not visible to any other thread yet; the uncontended
   // lock keeps the guarded write provable.
   MutexLock lock(router->ingest_mu_);
-  router->staged_global_users_ = static_cast<int64_t>(seed.num_users());
+  router->staged_global_users_ = seed_users;
   return router;
 }
 

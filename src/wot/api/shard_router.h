@@ -69,7 +69,7 @@ class ShardRouter : public Frontend, private ReplicationHandler {
   /// boots one service per shard. Epoch 1 = every shard serving its
   /// initial snapshot.
   static Result<std::unique_ptr<ShardRouter>> Create(
-      const Dataset& seed, size_t num_shards,
+      Dataset seed, size_t num_shards,
       const TrustServiceOptions& options = {});
 
   /// \brief Adopts already booted shard services (the durable recovery

@@ -1,6 +1,6 @@
 #include "wot/community/dataset_builder.h"
 
-#include <cmath>
+#include <algorithm>
 #include <utility>
 
 namespace wot {
@@ -9,7 +9,64 @@ namespace {
 uint64_t PairKey(uint32_t a, uint32_t b) {
   return (static_cast<uint64_t>(a) << 32) | b;
 }
+
+Status DuplicateReview(UserId writer, ObjectId object) {
+  return Status::AlreadyExists("user " + std::to_string(writer.value()) +
+                               " already reviewed object " +
+                               std::to_string(object.value()));
+}
+
+Status DuplicateRating(UserId rater, ReviewId review) {
+  return Status::AlreadyExists("user " + std::to_string(rater.value()) +
+                               " already rated review " +
+                               std::to_string(review.value()));
+}
+
+Status DuplicateTrust() {
+  return Status::AlreadyExists("duplicate trust statement");
+}
+
+// Checks one column the way replaying it through its Add* call would: the
+// verdict is that of the first row that fails \p check or, when \p dedup,
+// repeats the key of an earlier row. On success with \p dedup,
+// *sorted_keys receives the column's keys, sorted.
+template <typename Row, typename Check, typename KeyOf, typename DupError>
+Status CheckColumn(const std::vector<Row>& rows, const Check& check,
+                   bool dedup, const KeyOf& key_of,
+                   const DupError& duplicate_error,
+                   std::vector<uint64_t>* sorted_keys) {
+  size_t passed = rows.size();
+  Status row_status;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    row_status = check(rows[i]);
+    if (!row_status.ok()) {
+      passed = i;
+      break;
+    }
+  }
+  if (!dedup) return row_status;
+  // Only rows before the first failing one can repeat a key first.
+  std::vector<uint64_t> keys(passed);
+  for (size_t i = 0; i < passed; ++i) keys[i] = key_of(rows[i]);
+  std::sort(keys.begin(), keys.end());
+  if (std::adjacent_find(keys.begin(), keys.end()) != keys.end()) {
+    // Error path only: name the first row that repeats an earlier one.
+    std::unordered_set<uint64_t> seen;
+    for (size_t i = 0;; ++i) {
+      if (!seen.insert(key_of(rows[i])).second) {
+        return duplicate_error(rows[i]);
+      }
+    }
+  }
+  *sorted_keys = std::move(keys);
+  return row_status;
+}
 }  // namespace
+
+bool DatasetBuilder::KeySet::Insert(uint64_t key) {
+  if (std::binary_search(base_.begin(), base_.end(), key)) return false;
+  return added_.insert(key).second;
+}
 
 DatasetBuilder::DatasetBuilder(DatasetBuilderOptions options)
     : options_(options) {}
@@ -28,12 +85,17 @@ CategoryId DatasetBuilder::AddCategory(std::string name) {
   return id;
 }
 
-Result<ObjectId> DatasetBuilder::AddObject(CategoryId category,
-                                           std::string name) {
+Status DatasetBuilder::CheckObject(CategoryId category) const {
   if (!category.valid() ||
       category.index() >= dataset_.categories_.size()) {
     return Status::InvalidArgument("object references unknown category");
   }
+  return Status::OK();
+}
+
+Result<ObjectId> DatasetBuilder::AddObject(CategoryId category,
+                                           std::string name) {
+  WOT_RETURN_IF_ERROR(CheckObject(category));
   ObjectId id(static_cast<uint32_t>(dataset_.objects_.size()));
   dataset_.objects_.push_back({id, category, std::move(name)});
   return id;
@@ -47,19 +109,19 @@ Status DatasetBuilder::CheckUser(UserId id, const char* role) const {
   return Status::OK();
 }
 
-Result<ReviewId> DatasetBuilder::AddReview(UserId writer, ObjectId object) {
-  EnsureDedupKeys();
+Status DatasetBuilder::CheckReview(UserId writer, ObjectId object) const {
   WOT_RETURN_IF_ERROR(CheckUser(writer, "writer"));
   if (!object.valid() || object.index() >= dataset_.objects_.size()) {
     return Status::InvalidArgument("review references unknown object");
   }
-  if (options_.enforce_one_review_per_object) {
-    uint64_t key = PairKey(writer.value(), object.value());
-    if (!review_keys_.insert(key).second) {
-      return Status::AlreadyExists(
-          "user " + std::to_string(writer.value()) +
-          " already reviewed object " + std::to_string(object.value()));
-    }
+  return Status::OK();
+}
+
+Result<ReviewId> DatasetBuilder::AddReview(UserId writer, ObjectId object) {
+  WOT_RETURN_IF_ERROR(CheckReview(writer, object));
+  if (options_.enforce_one_review_per_object &&
+      !review_keys_.Insert(PairKey(writer.value(), object.value()))) {
+    return DuplicateReview(writer, object);
   }
   ReviewId id(static_cast<uint32_t>(dataset_.reviews_.size()));
   dataset_.reviews_.push_back(
@@ -68,9 +130,8 @@ Result<ReviewId> DatasetBuilder::AddReview(UserId writer, ObjectId object) {
   return id;
 }
 
-Status DatasetBuilder::AddRating(UserId rater, ReviewId review,
-                                 double value) {
-  EnsureDedupKeys();
+Status DatasetBuilder::CheckRating(UserId rater, ReviewId review,
+                                   double value) const {
   WOT_RETURN_IF_ERROR(CheckUser(rater, "rater"));
   if (!review.valid() || review.index() >= dataset_.reviews_.size()) {
     return Status::InvalidArgument("rating references unknown review");
@@ -86,13 +147,15 @@ Status DatasetBuilder::AddRating(UserId rater, ReviewId review,
         "rating value " + std::to_string(value) +
         " is not one of the five scale stages {0.2,0.4,0.6,0.8,1.0}");
   }
-  if (options_.reject_duplicate_ratings) {
-    uint64_t key = PairKey(rater.value(), review.value());
-    if (!rating_keys_.insert(key).second) {
-      return Status::AlreadyExists(
-          "user " + std::to_string(rater.value()) +
-          " already rated review " + std::to_string(review.value()));
-    }
+  return Status::OK();
+}
+
+Status DatasetBuilder::AddRating(UserId rater, ReviewId review,
+                                 double value) {
+  WOT_RETURN_IF_ERROR(CheckRating(rater, review, value));
+  if (options_.reject_duplicate_ratings &&
+      !rating_keys_.Insert(PairKey(rater.value(), review.value()))) {
+    return DuplicateRating(rater, review);
   }
   const uint32_t rating_id = static_cast<uint32_t>(dataset_.ratings_.size());
   dataset_.ratings_.push_back({rater, review, value});
@@ -101,18 +164,20 @@ Status DatasetBuilder::AddRating(UserId rater, ReviewId review,
   return Status::OK();
 }
 
-Status DatasetBuilder::AddTrust(UserId source, UserId target) {
-  EnsureDedupKeys();
+Status DatasetBuilder::CheckTrust(UserId source, UserId target) const {
   WOT_RETURN_IF_ERROR(CheckUser(source, "trust source"));
   WOT_RETURN_IF_ERROR(CheckUser(target, "trust target"));
-  if (options_.reject_degenerate_trust) {
-    if (source == target) {
-      return Status::InvalidArgument("self-trust statement rejected");
-    }
-    uint64_t key = PairKey(source.value(), target.value());
-    if (!trust_keys_.insert(key).second) {
-      return Status::AlreadyExists("duplicate trust statement");
-    }
+  if (options_.reject_degenerate_trust && source == target) {
+    return Status::InvalidArgument("self-trust statement rejected");
+  }
+  return Status::OK();
+}
+
+Status DatasetBuilder::AddTrust(UserId source, UserId target) {
+  WOT_RETURN_IF_ERROR(CheckTrust(source, target));
+  if (options_.reject_degenerate_trust &&
+      !trust_keys_.Insert(PairKey(source.value(), target.value()))) {
+    return DuplicateTrust();
   }
   dataset_.trust_.push_back({source, target});
   return Status::OK();
@@ -122,82 +187,77 @@ Result<Dataset> DatasetBuilder::Build() {
   Dataset out = std::move(dataset_);
   dataset_ = Dataset();
   index_ = CategoryIndex();
-  review_keys_.clear();
-  rating_keys_.clear();
-  trust_keys_.clear();
-  dedup_keys_synced_ = true;
+  review_keys_ = KeySet();
+  rating_keys_ = KeySet();
+  trust_keys_ = KeySet();
   return out;
 }
 
-void DatasetBuilder::EnsureDedupKeys() {
-  if (dedup_keys_synced_) return;
-  dedup_keys_synced_ = true;
-  if (options_.enforce_one_review_per_object) {
-    review_keys_.reserve(dataset_.reviews_.size());
-    for (const Review& review : dataset_.reviews_) {
-      review_keys_.insert(
-          PairKey(review.writer.value(), review.object.value()));
-    }
-  }
-  if (options_.reject_duplicate_ratings) {
-    rating_keys_.reserve(dataset_.ratings_.size());
-    for (const ReviewRating& rating : dataset_.ratings_) {
-      rating_keys_.insert(
-          PairKey(rating.rater.value(), rating.review.value()));
-    }
-  }
-  if (options_.reject_degenerate_trust) {
-    trust_keys_.reserve(dataset_.trust_.size());
-    for (const TrustStatement& statement : dataset_.trust_) {
-      trust_keys_.insert(
-          PairKey(statement.source.value(), statement.target.value()));
-    }
-  }
-}
-
-Status DatasetBuilder::AdoptValidated(Dataset dataset) {
+Status DatasetBuilder::Adopt(Dataset dataset) {
   if (!dataset_.users_.empty() || !dataset_.categories_.empty() ||
       !dataset_.objects_.empty() || !dataset_.reviews_.empty() ||
       !dataset_.ratings_.empty() || !dataset_.trust_.empty()) {
-    return Status::FailedPrecondition(
-        "AdoptValidated requires an empty builder");
+    return Status::FailedPrecondition("Adopt requires an empty builder");
   }
-  // Policy rules that scan columns sequentially are cheap enough to keep
-  // even on the instant-boot path. Deliberately trusted from the source
-  // (a CRC-verified segment whose contents went through a validating
-  // builder when written): referential integrity (FromValidatedColumns
-  // already bounds-checked every reference), self-rating rejection (a
-  // random-access writer lookup per rating — the one check that would
-  // dominate adoption cost), and dedup uniqueness (the key sets rebuild
-  // lazily in EnsureDedupKeys; pre-existing duplicates collapse there).
-  if (options_.enforce_rating_scale) {
-    for (const ReviewRating& rating : dataset.ratings()) {
-      // Inline nearest-stage form of rating_scale::IsValidStage: the
-      // stages are 0.2 apart and the tolerance is 1e-9, so only the
-      // nearest k can qualify — one nearbyint + one fabs per row instead
-      // of five out-of-line comparisons, same accept set.
-      const double v = rating.value;
-      const double k = std::nearbyint(v * 5.0);
-      if (!(k >= 1.0 && k <= 5.0 && std::fabs(v - 0.2 * k) < 1e-9)) {
-        return Status::InvalidArgument(
-            "rating value " + std::to_string(v) +
-            " is not one of the five scale stages {0.2,0.4,0.6,0.8,1.0}");
-      }
-    }
-  }
-  if (options_.reject_degenerate_trust) {
-    for (const TrustStatement& statement : dataset.trust_statements()) {
-      if (statement.source == statement.target) {
-        return Status::InvalidArgument("self-trust statement rejected");
-      }
-    }
-  }
+  // Each Add* call checks its row against earlier columns only, so
+  // checking every row against the whole adopted dataset, column by column
+  // in replay order, reaches the replay's verdict.
   dataset_ = std::move(dataset);
+  std::vector<uint64_t> review_keys;
+  std::vector<uint64_t> rating_keys;
+  std::vector<uint64_t> trust_keys;
+  Status status;
+  for (const Object& object : dataset_.objects_) {
+    status = CheckObject(object.category);
+    if (!status.ok()) break;
+  }
+  if (status.ok()) {
+    status = CheckColumn(
+        dataset_.reviews_,
+        [this](const Review& r) { return CheckReview(r.writer, r.object); },
+        options_.enforce_one_review_per_object,
+        [](const Review& r) {
+          return PairKey(r.writer.value(), r.object.value());
+        },
+        [](const Review& r) { return DuplicateReview(r.writer, r.object); },
+        &review_keys);
+  }
+  if (status.ok()) {
+    status = CheckColumn(
+        dataset_.ratings_,
+        [this](const ReviewRating& r) {
+          return CheckRating(r.rater, r.review, r.value);
+        },
+        options_.reject_duplicate_ratings,
+        [](const ReviewRating& r) {
+          return PairKey(r.rater.value(), r.review.value());
+        },
+        [](const ReviewRating& r) {
+          return DuplicateRating(r.rater, r.review);
+        },
+        &rating_keys);
+  }
+  if (status.ok()) {
+    status = CheckColumn(
+        dataset_.trust_,
+        [this](const TrustStatement& t) {
+          return CheckTrust(t.source, t.target);
+        },
+        options_.reject_degenerate_trust,
+        [](const TrustStatement& t) {
+          return PairKey(t.source.value(), t.target.value());
+        },
+        [](const TrustStatement&) { return DuplicateTrust(); },
+        &trust_keys);
+  }
+  if (!status.ok()) {
+    dataset_ = Dataset();
+    return status;
+  }
+  review_keys_ = KeySet(std::move(review_keys));
+  rating_keys_ = KeySet(std::move(rating_keys));
+  trust_keys_ = KeySet(std::move(trust_keys));
   index_ = CategoryIndex(dataset_);
-  review_keys_.clear();
-  rating_keys_.clear();
-  trust_keys_.clear();
-  dedup_keys_synced_ = false;
   return Status::OK();
 }
 

@@ -2,8 +2,11 @@
 #ifndef WOT_COMMUNITY_DATASET_BUILDER_H_
 #define WOT_COMMUNITY_DATASET_BUILDER_H_
 
+#include <cstdint>
 #include <string>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "wot/community/category_index.h"
 #include "wot/community/dataset.h"
@@ -55,33 +58,27 @@ class DatasetBuilder {
   /// \brief Finalizes. The builder is consumed (left empty).
   Result<Dataset> Build();
 
-  /// \brief Assembles a Dataset directly from columns, skipping the
-  /// policy checks and dedup-key bookkeeping of the incremental Add*
-  /// path. For trusted loaders only — e.g. the storage layer's
-  /// CRC-verified snapshot segments, whose contents went through a
-  /// validating builder when written. Entity ids are reassigned densely
-  /// from column order and review categories are denormalized from their
-  /// object; cross-column references are bounds-checked (an error, never
-  /// a fault, on corrupt input) but nothing else is.
+  /// \brief Assembles a Dataset directly from columns: entity ids are
+  /// reassigned densely from column order, review categories are
+  /// denormalized from their object, and every cross-column reference is
+  /// bounds-checked (an error, never a fault, on corrupt input). No policy
+  /// rule is applied; loaders pass the result to Adopt, which applies them.
   static Result<Dataset> FromValidatedColumns(
       std::vector<Category> categories, std::vector<User> users,
       std::vector<Object> objects, std::vector<Review> reviews,
       std::vector<ReviewRating> ratings,
       std::vector<TrustStatement> trust_statements);
 
-  /// \brief Installs an already-validated dataset as this (empty)
-  /// builder's staged state, without replaying it through the Add* path.
-  /// This is the instant-restore complement of FromValidatedColumns:
-  /// ids must already be dense in column order (FromValidatedColumns
-  /// guarantees that). Sequential-scan policy rules (rating scale,
-  /// self-trust) are still enforced here; per-row random-access rules
-  /// (self-ratings) and dedup uniqueness are trusted from the validated
-  /// source, and the dedup key sets are NOT rebuilt eagerly but lazily,
-  /// on the first Add* call that needs them, so adoption costs O(scan)
-  /// instead of O(hash-insert) per row. Future ingests validate against
-  /// exactly the keys an incremental build would have produced. The
-  /// category index is built here, in one pass over the columns.
-  Status AdoptValidated(Dataset dataset);
+  /// \brief Installs \p dataset as this (empty) builder's staged state
+  /// after checking it against every rule of this builder's options, in
+  /// bulk over whole columns. Accepts exactly the datasets that replaying
+  /// \p dataset through the Add* calls, in column order, would accept, and
+  /// returns the same Status as the first call that replay would reject.
+  /// Uniqueness is checked by sorting each column's pair keys once; the
+  /// sorted keys then serve as the dedup base of later Add* calls. The
+  /// category index is built here, in one pass over the columns. Requires
+  /// an empty builder; a rejected dataset leaves it empty.
+  Status Adopt(Dataset dataset);
 
   /// \brief Read-only view of the dataset under construction. The reference
   /// stays valid until Build(); contents grow as entities are added. Used
@@ -91,28 +88,43 @@ class DatasetBuilder {
 
   /// \brief The per-category index of StagedView(), current after every
   /// successful Add* call (rejected calls leave it untouched) and after
-  /// AdoptValidated. Same lifetime rules as StagedView().
+  /// Adopt. Same lifetime rules as StagedView().
   const CategoryIndex& category_index() const { return index_; }
 
   size_t num_users() const { return dataset_.users_.size(); }
   size_t num_reviews() const { return dataset_.reviews_.size(); }
 
  private:
+  /// A set of u64 pair keys: a sorted base (an adopted dataset's keys,
+  /// sorted once) plus a hash set of the keys inserted since.
+  class KeySet {
+   public:
+    /// An empty set, or the set of \p sorted_base (sorted, unique).
+    explicit KeySet(std::vector<uint64_t> sorted_base = {})
+        : base_(std::move(sorted_base)) {}
+    /// Inserts \p key; false (and no change) when it is already present.
+    bool Insert(uint64_t key);
+
+   private:
+    std::vector<uint64_t> base_;
+    std::unordered_set<uint64_t> added_;
+  };
+
   Status CheckUser(UserId id, const char* role) const;
-  /// Bulk-builds the dedup key sets from the adopted columns. No-op on
-  /// the incremental path (keys are maintained per Add* call there).
-  void EnsureDedupKeys();
+  // The per-row rules of each Add* call that precede its dedup check,
+  // shared by the Add* path and Adopt's column scans.
+  Status CheckObject(CategoryId category) const;
+  Status CheckReview(UserId writer, ObjectId object) const;
+  Status CheckRating(UserId rater, ReviewId review, double value) const;
+  Status CheckTrust(UserId source, UserId target) const;
 
   DatasetBuilderOptions options_;
   Dataset dataset_;
   CategoryIndex index_;
   // Dedup keys: (writer, object), (rater, review), (src, dst) as u64.
-  // After AdoptValidated() these are stale until the first Add* call
-  // that consults them (EnsureDedupKeys rebuilds in one pass).
-  bool dedup_keys_synced_ = true;
-  std::unordered_set<uint64_t> review_keys_;
-  std::unordered_set<uint64_t> rating_keys_;
-  std::unordered_set<uint64_t> trust_keys_;
+  KeySet review_keys_;
+  KeySet rating_keys_;
+  KeySet trust_keys_;
 };
 
 }  // namespace wot

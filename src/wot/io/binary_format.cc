@@ -1,8 +1,13 @@
 #include "wot/io/binary_format.h"
 
+#include <bit>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "wot/community/dataset_builder.h"
+#include "wot/io/byte_reader.h"
+#include "wot/io/byte_writer.h"
 #include "wot/io/crc32.h"
 #include "wot/io/csv.h"
 
@@ -12,65 +17,26 @@ namespace {
 
 constexpr char kMagic[4] = {'W', 'O', 'T', 'B'};
 
-class Writer {
- public:
-  void PutU32(uint32_t v) { PutRaw(&v, sizeof(v)); }
-  void PutU64(uint64_t v) { PutRaw(&v, sizeof(v)); }
-  void PutDouble(double v) { PutRaw(&v, sizeof(v)); }
-  void PutString(const std::string& s) {
-    PutU32(static_cast<uint32_t>(s.size()));
-    PutRaw(s.data(), s.size());
+// Fixed record widths of the reviews, ratings and trust sections.
+constexpr size_t kReviewBytes = 8;
+constexpr size_t kRatingBytes = 16;
+constexpr size_t kTrustBytes = 8;
+
+// Reads a section count. Every record takes at least \p min_record_bytes,
+// so a count the rest of the payload cannot hold is rejected here, before
+// anything is allocated for it.
+Status GetCount(ByteReader* body, size_t min_record_bytes, uint64_t* count) {
+  *count = body->GetU64();
+  if (body->failed() || *count > body->remaining() / min_record_bytes) {
+    return Status::Corruption("section count exceeds payload");
   }
-  void PutRaw(const void* data, size_t len) {
-    buffer_.append(static_cast<const char*>(data), len);
-  }
-  std::string Take() { return std::move(buffer_); }
-  const std::string& buffer() const { return buffer_; }
-
- private:
-  std::string buffer_;
-};
-
-class Reader {
- public:
-  explicit Reader(std::string_view data) : data_(data) {}
-
-  Status GetU32(uint32_t* out) { return GetRaw(out, sizeof(*out)); }
-  Status GetU64(uint64_t* out) { return GetRaw(out, sizeof(*out)); }
-  Status GetDouble(double* out) { return GetRaw(out, sizeof(*out)); }
-
-  Status GetString(std::string* out) {
-    uint32_t len = 0;
-    WOT_RETURN_IF_ERROR(GetU32(&len));
-    if (len > Remaining()) {
-      return Status::Corruption("string length exceeds buffer");
-    }
-    out->assign(data_.substr(pos_, len));
-    pos_ += len;
-    return Status::OK();
-  }
-
-  Status GetRaw(void* out, size_t len) {
-    if (len > Remaining()) {
-      return Status::Corruption("unexpected end of buffer");
-    }
-    std::memcpy(out, data_.data() + pos_, len);
-    pos_ += len;
-    return Status::OK();
-  }
-
-  size_t Remaining() const { return data_.size() - pos_; }
-  size_t pos() const { return pos_; }
-
- private:
-  std::string_view data_;
-  size_t pos_ = 0;
-};
+  return Status::OK();
+}
 
 }  // namespace
 
 std::string SerializeDataset(const Dataset& dataset) {
-  Writer body;
+  ByteWriter body;
   body.PutU64(dataset.num_categories());
   for (const auto& category : dataset.categories()) {
     body.PutString(category.name);
@@ -81,135 +47,126 @@ std::string SerializeDataset(const Dataset& dataset) {
   }
   body.PutU64(dataset.num_objects());
   for (const auto& object : dataset.objects()) {
-    body.PutU32(object.category.value());
-    body.PutString(object.name);
+    body.PutU32(object.category.value()).PutString(object.name);
   }
   body.PutU64(dataset.num_reviews());
   for (const auto& review : dataset.reviews()) {
-    body.PutU32(review.writer.value());
-    body.PutU32(review.object.value());
+    body.PutU32(review.writer.value()).PutU32(review.object.value());
   }
   body.PutU64(dataset.num_ratings());
   for (const auto& rating : dataset.ratings()) {
-    body.PutU32(rating.rater.value());
-    body.PutU32(rating.review.value());
-    body.PutDouble(rating.value);
+    body.PutU32(rating.rater.value())
+        .PutU32(rating.review.value())
+        .PutDouble(rating.value);
   }
   body.PutU64(dataset.num_trust_statements());
   for (const auto& trust : dataset.trust_statements()) {
-    body.PutU32(trust.source.value());
-    body.PutU32(trust.target.value());
+    body.PutU32(trust.source.value()).PutU32(trust.target.value());
   }
 
-  Writer out;
-  out.PutRaw(kMagic, sizeof(kMagic));
+  ByteWriter out;
+  out.PutRaw(std::string_view(kMagic, sizeof(kMagic)));
   out.PutU32(kBinaryFormatVersion);
   const std::string& payload = body.buffer();
   out.PutU64(payload.size());
-  out.PutRaw(payload.data(), payload.size());
+  out.PutRaw(payload);
   out.PutU32(Crc32(payload.data(), payload.size()));
   return out.Take();
 }
 
 Result<Dataset> DeserializeDataset(std::string_view buffer) {
-  Reader reader(buffer);
-  char magic[4];
-  WOT_RETURN_IF_ERROR(reader.GetRaw(magic, sizeof(magic)));
+  ByteReader reader(buffer);
+  const char* magic = reader.GetRaw(sizeof(kMagic));
+  if (magic == nullptr) {
+    return Status::Corruption("unexpected end of buffer");
+  }
   if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     return Status::Corruption("bad magic; not a WOTB file");
   }
-  uint32_t version = 0;
-  WOT_RETURN_IF_ERROR(reader.GetU32(&version));
+  const uint32_t version = reader.GetU32();
+  if (reader.failed()) {
+    return Status::Corruption("unexpected end of buffer");
+  }
   if (version != kBinaryFormatVersion) {
     return Status::Corruption("unsupported WOTB version " +
                               std::to_string(version));
   }
-  uint64_t payload_size = 0;
-  WOT_RETURN_IF_ERROR(reader.GetU64(&payload_size));
-  if (payload_size + sizeof(uint32_t) > reader.Remaining()) {
+  const uint64_t payload_size = reader.GetU64();
+  if (reader.failed() || payload_size > reader.remaining() ||
+      reader.remaining() - payload_size < sizeof(uint32_t)) {
     return Status::Corruption("payload length exceeds buffer");
   }
-  std::string_view payload = buffer.substr(reader.pos(), payload_size);
-  Reader body(payload);
+  std::string_view payload(reader.GetRaw(payload_size), payload_size);
   // Verify the checksum before trusting any length field inside.
-  {
-    Reader tail(buffer.substr(reader.pos() + payload_size));
-    uint32_t stored_crc = 0;
-    WOT_RETURN_IF_ERROR(tail.GetU32(&stored_crc));
-    uint32_t actual_crc = Crc32(payload.data(), payload.size());
-    if (stored_crc != actual_crc) {
-      return Status::Corruption("CRC mismatch: file is corrupt");
-    }
+  if (reader.GetU32() != Crc32(payload.data(), payload.size())) {
+    return Status::Corruption("CRC mismatch: file is corrupt");
   }
 
-  // Loading bypasses name-keyed maps: ids are already dense. Builder
-  // validation still applies (referential integrity, policy rules).
-  DatasetBuilder builder;
+  // Names are variable-width and decoded one by one; the fixed-width
+  // sections are bounds-checked once each and decoded in bulk. Policy
+  // rules are then checked over whole columns by DatasetBuilder::Adopt.
+  ByteReader body(payload);
   uint64_t count = 0;
 
-  WOT_RETURN_IF_ERROR(body.GetU64(&count));
+  WOT_RETURN_IF_ERROR(GetCount(&body, 4, &count));
+  std::vector<Category> categories;
+  categories.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
-    std::string name;
-    WOT_RETURN_IF_ERROR(body.GetString(&name));
-    builder.AddCategory(std::move(name));
+    categories.push_back({CategoryId(), body.GetString()});
   }
 
-  WOT_RETURN_IF_ERROR(body.GetU64(&count));
+  WOT_RETURN_IF_ERROR(GetCount(&body, 4, &count));
+  std::vector<User> users;
+  users.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
-    std::string name;
-    WOT_RETURN_IF_ERROR(body.GetString(&name));
-    builder.AddUser(std::move(name));
+    users.push_back({UserId(), body.GetString()});
   }
 
-  WOT_RETURN_IF_ERROR(body.GetU64(&count));
+  WOT_RETURN_IF_ERROR(GetCount(&body, 8, &count));
+  std::vector<Object> objects;
+  objects.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
-    uint32_t category = 0;
-    std::string name;
-    WOT_RETURN_IF_ERROR(body.GetU32(&category));
-    WOT_RETURN_IF_ERROR(body.GetString(&name));
-    WOT_ASSIGN_OR_RETURN(ObjectId oid, builder.AddObject(CategoryId(category),
-                                                         std::move(name)));
-    (void)oid;
+    const uint32_t category = body.GetU32();
+    objects.push_back({ObjectId(), CategoryId(category), body.GetString()});
   }
 
-  WOT_RETURN_IF_ERROR(body.GetU64(&count));
-  for (uint64_t i = 0; i < count; ++i) {
-    uint32_t writer = 0;
-    uint32_t object = 0;
-    WOT_RETURN_IF_ERROR(body.GetU32(&writer));
-    WOT_RETURN_IF_ERROR(body.GetU32(&object));
-    WOT_ASSIGN_OR_RETURN(
-        ReviewId rid, builder.AddReview(UserId(writer), ObjectId(object)));
-    (void)rid;
+  WOT_RETURN_IF_ERROR(GetCount(&body, kReviewBytes, &count));
+  std::vector<Review> reviews(count);
+  const char* raw = body.GetRaw(count * kReviewBytes);
+  for (uint64_t i = 0; i < count; ++i, raw += kReviewBytes) {
+    reviews[i] = {ReviewId(), UserId(LoadLE32(raw)),
+                  ObjectId(LoadLE32(raw + 4)), CategoryId()};
   }
 
-  WOT_RETURN_IF_ERROR(body.GetU64(&count));
-  for (uint64_t i = 0; i < count; ++i) {
-    uint32_t rater = 0;
-    uint32_t review = 0;
-    double value = 0.0;
-    WOT_RETURN_IF_ERROR(body.GetU32(&rater));
-    WOT_RETURN_IF_ERROR(body.GetU32(&review));
-    WOT_RETURN_IF_ERROR(body.GetDouble(&value));
-    WOT_RETURN_IF_ERROR(
-        builder.AddRating(UserId(rater), ReviewId(review), value));
+  WOT_RETURN_IF_ERROR(GetCount(&body, kRatingBytes, &count));
+  std::vector<ReviewRating> ratings(count);
+  raw = body.GetRaw(count * kRatingBytes);
+  for (uint64_t i = 0; i < count; ++i, raw += kRatingBytes) {
+    ratings[i] = {UserId(LoadLE32(raw)), ReviewId(LoadLE32(raw + 4)),
+                  std::bit_cast<double>(LoadLE64(raw + 8))};
   }
 
-  WOT_RETURN_IF_ERROR(body.GetU64(&count));
-  for (uint64_t i = 0; i < count; ++i) {
-    uint32_t source = 0;
-    uint32_t target = 0;
-    WOT_RETURN_IF_ERROR(body.GetU32(&source));
-    WOT_RETURN_IF_ERROR(body.GetU32(&target));
-    WOT_RETURN_IF_ERROR(builder.AddTrust(UserId(source), UserId(target)));
+  WOT_RETURN_IF_ERROR(GetCount(&body, kTrustBytes, &count));
+  std::vector<TrustStatement> trust(count);
+  raw = body.GetRaw(count * kTrustBytes);
+  for (uint64_t i = 0; i < count; ++i, raw += kTrustBytes) {
+    trust[i] = {UserId(LoadLE32(raw)), UserId(LoadLE32(raw + 4))};
   }
 
-  if (body.Remaining() != 0) {
-    return Status::Corruption("trailing bytes after last section");
+  if (!body.AtEnd()) {
+    return Status::Corruption(body.failed()
+                                  ? "unexpected end of buffer"
+                                  : "trailing bytes after last section");
   }
+  WOT_ASSIGN_OR_RETURN(
+      Dataset dataset,
+      DatasetBuilder::FromValidatedColumns(
+          std::move(categories), std::move(users), std::move(objects),
+          std::move(reviews), std::move(ratings), std::move(trust)));
+  DatasetBuilder builder;
+  WOT_RETURN_IF_ERROR(builder.Adopt(std::move(dataset)));
   return builder.Build();
 }
-
 Status SaveDatasetBinary(const Dataset& dataset, const std::string& path) {
   return WriteStringToFile(path, SerializeDataset(dataset));
 }

@@ -1,7 +1,8 @@
 // Compact binary dataset serialization ("WOTB" format).
 //
 // Layout (little-endian):
-//   magic "WOTB" | u32 version | 6 sections | u32 crc32(all section bytes)
+//   magic "WOTB" | u32 version | u64 payload length | 6 sections |
+//   u32 crc32(all section bytes)
 // Sections, in order: categories, users, objects, reviews, ratings, trust.
 // Strings are u32 length + bytes; counts are u64.
 //
@@ -23,9 +24,10 @@ inline constexpr uint32_t kBinaryFormatVersion = 1;
 /// \brief Serializes \p dataset to an in-memory buffer.
 std::string SerializeDataset(const Dataset& dataset);
 
-/// \brief Parses a buffer produced by SerializeDataset, re-running full
-/// builder validation. Corrupt length fields, bad magic, version skew and
-/// CRC mismatches all yield Corruption errors (never UB).
+/// \brief Parses a buffer produced by SerializeDataset and checks it
+/// against the default builder policy in one bulk pass
+/// (DatasetBuilder::Adopt). Corrupt length fields, bad magic, version skew
+/// and CRC mismatches all yield Corruption errors (never UB).
 Result<Dataset> DeserializeDataset(std::string_view buffer);
 
 /// \brief Writes the serialized dataset to \p path.

@@ -17,6 +17,20 @@
 
 namespace wot {
 
+/// \brief Little-endian loads from raw bytes, for bulk decoders that
+/// bounds-checked a whole fixed-width record array with ByteReader::GetRaw.
+inline uint32_t LoadLE32(const char* p) {
+  return static_cast<uint32_t>(static_cast<unsigned char>(p[0])) |
+         static_cast<uint32_t>(static_cast<unsigned char>(p[1])) << 8 |
+         static_cast<uint32_t>(static_cast<unsigned char>(p[2])) << 16 |
+         static_cast<uint32_t>(static_cast<unsigned char>(p[3])) << 24;
+}
+
+inline uint64_t LoadLE64(const char* p) {
+  return static_cast<uint64_t>(LoadLE32(p)) |
+         static_cast<uint64_t>(LoadLE32(p + 4)) << 32;
+}
+
 class ByteReader {
  public:
   explicit ByteReader(std::string_view data) : data_(data) {}

@@ -1,9 +1,8 @@
-// Append-only little-endian byte serializer for wire frames.
+// Append-only little-endian byte serializer for wire frames and files.
 //
-// Unlike the private Writer inside binary_format.cc (which memcpys native
-// representations into a host-endian snapshot file), ByteWriter defines the
-// byte order explicitly: every fixed-width field is emitted little-endian
-// byte by byte, so frames produced on any host are identical on the wire.
+// ByteWriter defines the byte order explicitly: every fixed-width field is
+// emitted little-endian byte by byte, so frames and files produced on any
+// host are identical.
 // Strings are length-delimited with a u32 prefix. Doubles travel as their
 // IEEE-754 bit pattern in a little-endian u64.
 #ifndef WOT_IO_BYTE_WRITER_H_

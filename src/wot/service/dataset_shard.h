@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "wot/community/dataset.h"
-#include "wot/community/dataset_builder.h"
 #include "wot/util/result.h"
 
 namespace wot {
@@ -55,15 +54,14 @@ struct ShardSliceStats {
 };
 
 /// \brief Splits \p seed into \p num_shards per-shard datasets under the
-/// partition documented above. \p options governs the per-shard builders
-/// (use the same policy the serving TrustService will replay with).
-/// Emits one dataset per shard (possibly with zero users when
-/// num_shards exceeds the seed population); \p stats, when given,
-/// receives the cross-shard drop counts.
+/// partition documented above, by partitioning its columns directly (no
+/// policy checks: each shard's TrustService::Create enforces its own).
+/// With one shard the seed itself is returned. Emits one dataset per
+/// shard (possibly with zero users when num_shards exceeds the seed
+/// population); \p stats, when given, receives the cross-shard drop
+/// counts.
 Result<std::vector<Dataset>> SliceDatasetByUser(
-    const Dataset& seed, size_t num_shards,
-    const DatasetBuilderOptions& options = {},
-    ShardSliceStats* stats = nullptr);
+    Dataset seed, size_t num_shards, ShardSliceStats* stats = nullptr);
 
 }  // namespace wot
 

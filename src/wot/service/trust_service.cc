@@ -43,41 +43,17 @@ TrustService::TrustService(const TrustServiceOptions& options)
       engine_(options.reputation) {}
 
 Result<std::unique_ptr<TrustService>> TrustService::Create(
-    const Dataset& seed, const TrustServiceOptions& options) {
+    Dataset seed, const TrustServiceOptions& options) {
   std::unique_ptr<TrustService> service(new TrustService(options));
-  // No other thread can reference the service yet, but the replay writes
+  // No other thread can reference the service yet, but adoption writes
   // builder_ state, so take the writer lock for the whole boot — it is
   // uncontended, and the analysis then proves the accesses like any
   // other write path.
   MutexLock lock(service->writer_mu_);
-  // Replay the seed in storage order: the builder assigns ids densely in
-  // insertion order, so every id of the seed stays valid in the service.
-  for (const auto& category : seed.categories()) {
-    service->builder_.AddCategory(category.name);
-  }
-  for (const auto& user : seed.users()) {
-    service->builder_.AddUser(user.name);
-  }
-  for (const auto& object : seed.objects()) {
-    Result<ObjectId> id =
-        service->builder_.AddObject(object.category, object.name);
-    if (!id.ok()) return id.status();
-  }
-  for (const auto& review : seed.reviews()) {
-    Result<ReviewId> id =
-        service->builder_.AddReview(review.writer, review.object);
-    if (!id.ok()) return id.status();
-  }
-  for (const auto& rating : seed.ratings()) {
-    WOT_RETURN_IF_ERROR(
-        service->builder_.AddRating(rating.rater, rating.review,
-                                    rating.value));
-  }
-  for (const auto& statement : seed.trust_statements()) {
-    WOT_RETURN_IF_ERROR(
-        service->builder_.AddTrust(statement.source, statement.target));
-  }
-
+  // The seed's ids are dense in column order, so adopting its columns
+  // keeps every id valid in the service; Adopt enforces the ingest policy
+  // in bulk, exactly as replaying the seed through Add* would.
+  WOT_RETURN_IF_ERROR(service->builder_.Adopt(std::move(seed)));
   WOT_ASSIGN_OR_RETURN(CommitStats stats, service->CommitLocked());
   (void)stats;
   return service;
@@ -97,13 +73,10 @@ Result<std::unique_ptr<TrustService>> TrustService::Restore(
   }
   std::unique_ptr<TrustService> service(new TrustService(options));
   MutexLock lock(service->writer_mu_);
-  // Adopt the persisted dataset wholesale instead of replaying it
-  // through the per-entity ingest path: ids are already dense in column
-  // order (the segment loader went through FromValidatedColumns), the
-  // per-row policy rules are re-checked inside AdoptValidated, and the
-  // ingest dedup keys are rebuilt lazily on the first mutation. This is
-  // what makes durable boot O(load) instead of O(rebuild).
-  WOT_RETURN_IF_ERROR(service->builder_.AdoptValidated(std::move(dataset)));
+  // The same adoption as Create: ids are already dense in column order
+  // (the segment loader went through FromValidatedColumns) and Adopt
+  // enforces the ingest policy in bulk.
+  WOT_RETURN_IF_ERROR(service->builder_.Adopt(std::move(dataset)));
 
   const Dataset& staged = service->builder_.StagedView();
   if (affiliation.rows() != staged.num_users() ||
@@ -122,8 +95,8 @@ Result<std::unique_ptr<TrustService>> TrustService::Restore(
   }
   // Seed the incremental engine with the persisted converged state (it
   // validates the reputation shapes) so the next Commit() recomputes only
-  // categories dirtied after this restore point. AdoptValidated already
-  // built the category index the next Commit() reads.
+  // categories dirtied after this restore point. Adopt already built
+  // the category index the next Commit() reads.
   WOT_RETURN_IF_ERROR(service->engine_.Seed(staged, reputation));
 
   // Rebuilding the name directory as one chunk preserves lookup

@@ -94,10 +94,11 @@ class TrustService {
     double elapsed_millis = 0.0;
   };
 
-  /// \brief Boots a service over a copy of \p seed and publishes snapshot
-  /// version 1. The seed is not referenced after Create returns.
+  /// \brief Boots a service over \p seed and publishes snapshot version 1.
+  /// The seed's columns are adopted (DatasetBuilder::Adopt): it is checked
+  /// against \p options' ingest policy in one bulk pass, not replayed.
   static Result<std::unique_ptr<TrustService>> Create(
-      const Dataset& seed, const TrustServiceOptions& options = {});
+      Dataset seed, const TrustServiceOptions& options = {});
 
   /// \brief Boots an empty service (version-1 snapshot over zero users).
   static Result<std::unique_ptr<TrustService>> CreateEmpty(
@@ -106,9 +107,7 @@ class TrustService {
   /// \brief Boots a service from durably persisted components (the
   /// instant-boot path: a storage segment instead of a raw-dataset
   /// derivation). \p dataset is the full staged dataset at segment-write
-  /// time; it is adopted wholesale by the builder (ids are dense in
-  /// column order already, per-row policy rules are re-checked, and the
-  /// ingest dedup keys rebuild lazily on first mutation), while the
+  /// time; it is adopted exactly as Create adopts its seed, while the
   /// expensive derived state — \p reputation, \p affiliation,
   /// \p postings — is adopted as published snapshot \p version without
   /// recomputation. The incremental engine is seeded so the next Commit()

@@ -152,10 +152,8 @@ Result<DurableService> BootDurable(
     return [&, shard]() -> Result<Dataset> {
       if (!slices.has_value()) {
         WOT_ASSIGN_OR_RETURN(Dataset seed, seed_provider());
-        WOT_ASSIGN_OR_RETURN(
-            std::vector<Dataset> sliced,
-            SliceDatasetByUser(seed, num_shards,
-                               options.service.builder));
+        WOT_ASSIGN_OR_RETURN(std::vector<Dataset> sliced,
+                             SliceDatasetByUser(std::move(seed), num_shards));
         slices = std::move(sliced);
       }
       return std::move((*slices)[shard]);

@@ -29,18 +29,6 @@ constexpr uint32_t kFormatVersion = 1;
 constexpr size_t kHeaderBytes = 16;  // magic + bulk_offset
 constexpr size_t kFooterBytes = 4;   // trailing CRC32
 
-uint32_t LoadU32(const char* p) {
-  return static_cast<uint32_t>(static_cast<unsigned char>(p[0])) |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[1])) << 8 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[2])) << 16 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[3])) << 24;
-}
-
-uint64_t LoadU64(const char* p) {
-  return static_cast<uint64_t>(LoadU32(p)) |
-         static_cast<uint64_t>(LoadU32(p + 4)) << 32;
-}
-
 void StoreU32(uint32_t v, char* p) {
   p[0] = static_cast<char>(v & 0xff);
   p[1] = static_cast<char>((v >> 8) & 0xff);
@@ -69,11 +57,14 @@ void AppendDoublesLE(const double* src, size_t count, std::string* out) {
 }
 
 void CopyDoublesFromLE(const char* src, double* dst, size_t count) {
+  // An empty column's data() may be null, which memcpy must not see even
+  // with a zero count.
+  if (count == 0) return;
   if constexpr (std::endian::native == std::endian::little) {
     std::memcpy(dst, src, count * sizeof(double));
   } else {
     for (size_t i = 0; i < count; ++i) {
-      dst[i] = std::bit_cast<double>(LoadU64(src + i * 8));
+      dst[i] = std::bit_cast<double>(LoadLE64(src + i * 8));
     }
   }
 }
@@ -142,7 +133,7 @@ Status VerifyMagicAndOffset(const std::string& path, std::string_view file,
     return CorruptSegment(path, "bad magic");
   }
   const size_t crc_offset = file.size() - kFooterBytes;
-  *bulk_offset = LoadU64(file.data() + 8);
+  *bulk_offset = LoadLE64(file.data() + 8);
   if (*bulk_offset < kHeaderBytes || *bulk_offset > crc_offset ||
       *bulk_offset % 8 != 0) {
     return CorruptSegment(path, "bulk offset out of bounds");
@@ -156,7 +147,7 @@ Status VerifyEnvelope(const std::string& path, std::string_view file,
                       uint64_t* bulk_offset) {
   WOT_RETURN_IF_ERROR(VerifyMagicAndOffset(path, file, bulk_offset));
   const size_t crc_offset = file.size() - kFooterBytes;
-  if (Crc32(file.data(), crc_offset) != LoadU32(file.data() + crc_offset)) {
+  if (Crc32(file.data(), crc_offset) != LoadLE32(file.data() + crc_offset)) {
     return CorruptSegment(path, "CRC mismatch");
   }
   return Status::OK();
@@ -346,23 +337,23 @@ Result<SegmentData> DecodeSegmentBody(const std::string& path,
   std::vector<Review> reviews(header.num_reviews);
   if (const char* raw = reader.GetRaw(header.num_reviews * 8)) {
     for (uint64_t i = 0; i < header.num_reviews; ++i, raw += 8) {
-      reviews[i] = Review{ReviewId(), UserId(LoadU32(raw)),
-                          ObjectId(LoadU32(raw + 4)), CategoryId()};
+      reviews[i] = Review{ReviewId(), UserId(LoadLE32(raw)),
+                          ObjectId(LoadLE32(raw + 4)), CategoryId()};
     }
   }
   std::vector<ReviewRating> ratings(header.num_ratings);
   if (const char* raw = reader.GetRaw(header.num_ratings * 16)) {
     for (uint64_t i = 0; i < header.num_ratings; ++i, raw += 16) {
       ratings[i] =
-          ReviewRating{UserId(LoadU32(raw)), ReviewId(LoadU32(raw + 4)),
-                       std::bit_cast<double>(LoadU64(raw + 8))};
+          ReviewRating{UserId(LoadLE32(raw)), ReviewId(LoadLE32(raw + 4)),
+                       std::bit_cast<double>(LoadLE64(raw + 8))};
     }
   }
   std::vector<TrustStatement> trust(header.num_trust);
   if (const char* raw = reader.GetRaw(header.num_trust * 8)) {
     for (uint64_t i = 0; i < header.num_trust; ++i, raw += 8) {
       trust[i] =
-          TrustStatement{UserId(LoadU32(raw)), UserId(LoadU32(raw + 4))};
+          TrustStatement{UserId(LoadLE32(raw)), UserId(LoadLE32(raw + 4))};
     }
   }
 
@@ -392,7 +383,7 @@ Result<SegmentData> DecodeSegmentBody(const std::string& path,
       if (const char* raw = reader.GetRaw(count * 12)) {
         for (uint64_t i = 0; i < count; ++i, raw += 12) {
           (*posting)[i] =
-              ScoredUser{LoadU32(raw), std::bit_cast<double>(LoadU64(raw + 4))};
+              ScoredUser{LoadLE32(raw), std::bit_cast<double>(LoadLE64(raw + 4))};
         }
       }
       data.postings.push_back(std::move(posting));
@@ -463,7 +454,7 @@ Result<SegmentData> LoadSegment(const std::string& path) {
   Result<SegmentData> decoded =
       DecodeSegmentBody(path, file, bulk_offset, crc_offset);
   crc_pass.join();
-  if (actual_crc != LoadU32(file.data() + crc_offset)) {
+  if (actual_crc != LoadLE32(file.data() + crc_offset)) {
     return CorruptSegment(path, "CRC mismatch");
   }
   return decoded;

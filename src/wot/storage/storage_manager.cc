@@ -432,7 +432,7 @@ Result<StorageManager::BootResult> StorageManager::Boot(
     // Fresh boot: seed, publish version 1, persist it.
     WOT_ASSIGN_OR_RETURN(Dataset seed, seed_provider());
     WOT_ASSIGN_OR_RETURN(std::unique_ptr<TrustService> service,
-                         TrustService::Create(seed, service_options));
+                         TrustService::Create(std::move(seed), service_options));
     std::shared_ptr<const TrustSnapshot> snapshot = service->Snapshot();
     const std::string segment_path =
         SegmentPath(dir, snapshot->version());

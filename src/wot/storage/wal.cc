@@ -26,13 +26,6 @@ constexpr uint32_t kMaxWalRecordBytes = 1u << 24;
 constexpr uint64_t kBatchSyncRecords = 64;
 constexpr uint64_t kBatchSyncBytes = 256u << 10;
 
-uint32_t LoadU32(const char* p) {
-  return static_cast<uint32_t>(static_cast<unsigned char>(p[0])) |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[1])) << 8 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[2])) << 16 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[3])) << 24;
-}
-
 }  // namespace
 
 Result<FsyncPolicy> FsyncPolicyFromName(std::string_view name) {
@@ -191,8 +184,8 @@ Result<WalScanStats> ScanWalBuffer(
   size_t pos = 0;
   const size_t size = bytes.size();
   while (pos + 8 <= size) {
-    const uint32_t body_length = LoadU32(bytes.data() + pos);
-    const uint32_t crc = LoadU32(bytes.data() + pos + 4);
+    const uint32_t body_length = LoadLE32(bytes.data() + pos);
+    const uint32_t crc = LoadLE32(bytes.data() + pos + 4);
     if (body_length > kMaxWalRecordBytes ||
         pos + 8 + body_length > size) {
       break;  // torn tail: frame runs past the buffer (or garbage length)

@@ -98,11 +98,11 @@ TEST(CategoryIndexBuilderTest, RejectedAddsDoNotAppend) {
   EXPECT_EQ(builder.category_index(), before);
 }
 
-TEST(CategoryIndexBuilderTest, AdoptValidatedBuildsTheIndex) {
+TEST(CategoryIndexBuilderTest, AdoptBuildsTheIndex) {
   Dataset tiny = testing::TinyCommunity();
   const CategoryIndex expected(tiny);
   DatasetBuilder builder;
-  ASSERT_TRUE(builder.AdoptValidated(std::move(tiny)).ok());
+  ASSERT_TRUE(builder.Adopt(std::move(tiny)).ok());
   EXPECT_EQ(builder.category_index(), expected);
 }
 

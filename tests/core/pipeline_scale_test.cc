@@ -4,8 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "wot/core/binarization.h"
-#include "wot/core/pipeline.h"
 #include "wot/linalg/sparse_ops.h"
+#include "wot/service/pipeline.h"
 #include "wot/synth/generator.h"
 
 namespace wot {

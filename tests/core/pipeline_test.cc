@@ -1,4 +1,4 @@
-#include "wot/core/pipeline.h"
+#include "wot/service/pipeline.h"
 
 #include <gtest/gtest.h>
 

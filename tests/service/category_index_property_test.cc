@@ -130,7 +130,7 @@ TEST(CategoryIndexPropertyTest, AdoptedDatasetThenIngestKeepsIndexExact) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     std::mt19937_64 rng(seed);
     DatasetBuilder builder;
-    ASSERT_TRUE(builder.AdoptValidated(SmallCommunity(seed)).ok());
+    ASSERT_TRUE(builder.Adopt(SmallCommunity(seed)).ok());
     EXPECT_EQ(builder.category_index(),
               CategoryIndex(builder.StagedView()));
     IngestCounts counts = RandomIngest(

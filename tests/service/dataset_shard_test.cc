@@ -4,9 +4,11 @@
 // degenerate case, num_shards == 1 reproducing the seed exactly.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "testing/fixtures.h"
+#include "wot/community/dataset_builder.h"
 #include "wot/service/dataset_shard.h"
 #include "wot/synth/generator.h"
 
@@ -18,6 +20,88 @@ Dataset SynthCommunityDataset(size_t users, uint64_t seed) {
   config.num_users = users;
   config.seed = seed;
   return GenerateCommunity(config).ValueOrDie().dataset;
+}
+
+// The reference partition: every seed row replayed through one
+// DatasetBuilder per shard, which assigns ids densely in insertion order.
+std::vector<Dataset> RowReplaySlice(const Dataset& seed, size_t num_shards,
+                                    ShardSliceStats* stats) {
+  std::vector<DatasetBuilder> builders(num_shards);
+  for (const Category& category : seed.categories()) {
+    for (DatasetBuilder& builder : builders) {
+      builder.AddCategory(category.name);
+    }
+  }
+  for (const User& user : seed.users()) {
+    builders[ShardOfUser(user.id.value(), num_shards)].AddUser(user.name);
+  }
+  for (const Object& object : seed.objects()) {
+    for (DatasetBuilder& builder : builders) {
+      WOT_CHECK_OK(builder.AddObject(object.category, object.name).status());
+    }
+  }
+  std::vector<size_t> review_shard(seed.num_reviews());
+  std::vector<ReviewId> review_local(seed.num_reviews());
+  for (const Review& review : seed.reviews()) {
+    const size_t shard = ShardOfUser(review.writer.value(), num_shards);
+    review_shard[review.id.index()] = shard;
+    review_local[review.id.index()] =
+        builders[shard]
+            .AddReview(UserId(ShardLocalUser(review.writer.value(),
+                                             num_shards)),
+                       review.object)
+            .ValueOrDie();
+  }
+  *stats = ShardSliceStats();
+  for (const ReviewRating& rating : seed.ratings()) {
+    const size_t shard = ShardOfUser(rating.rater.value(), num_shards);
+    if (review_shard[rating.review.index()] != shard) {
+      ++stats->ratings_dropped;
+      continue;
+    }
+    WOT_CHECK_OK(builders[shard].AddRating(
+        UserId(ShardLocalUser(rating.rater.value(), num_shards)),
+        review_local[rating.review.index()], rating.value));
+  }
+  for (const TrustStatement& statement : seed.trust_statements()) {
+    const size_t shard = ShardOfUser(statement.source.value(), num_shards);
+    if (ShardOfUser(statement.target.value(), num_shards) != shard) {
+      ++stats->trust_statements_dropped;
+      continue;
+    }
+    WOT_CHECK_OK(builders[shard].AddTrust(
+        UserId(ShardLocalUser(statement.source.value(), num_shards)),
+        UserId(ShardLocalUser(statement.target.value(), num_shards))));
+  }
+  std::vector<Dataset> slices;
+  for (DatasetBuilder& builder : builders) {
+    slices.push_back(builder.Build().ValueOrDie());
+  }
+  return slices;
+}
+
+TEST(DatasetShardTest, ColumnPartitionEqualsRowReplay) {
+  const Dataset seed = SynthCommunityDataset(90, 17);
+  for (size_t num_shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE("shards " + std::to_string(num_shards));
+    ShardSliceStats expected_stats;
+    const std::vector<Dataset> expected =
+        RowReplaySlice(seed, num_shards, &expected_stats);
+    ShardSliceStats stats;
+    const std::vector<Dataset> slices =
+        SliceDatasetByUser(seed, num_shards, &stats).ValueOrDie();
+    ASSERT_EQ(slices.size(), expected.size());
+    for (size_t s = 0; s < num_shards; ++s) {
+      EXPECT_EQ(testing::DatasetDiff(slices[s], expected[s]), "")
+          << "shard " << s;
+    }
+    EXPECT_EQ(stats.ratings_dropped, expected_stats.ratings_dropped);
+    EXPECT_EQ(stats.trust_statements_dropped,
+              expected_stats.trust_statements_dropped);
+    if (num_shards > 1) {
+      EXPECT_GT(stats.ratings_dropped, 0u);
+    }
+  }
 }
 
 TEST(DatasetShardTest, IdMapsAreInverse) {
@@ -36,7 +120,7 @@ TEST(DatasetShardTest, SingleShardReproducesTheSeedExactly) {
   Dataset seed = SynthCommunityDataset(60, 11);
   ShardSliceStats stats;
   std::vector<Dataset> slices =
-      SliceDatasetByUser(seed, 1, {}, &stats).ValueOrDie();
+      SliceDatasetByUser(seed, 1, &stats).ValueOrDie();
   ASSERT_EQ(slices.size(), 1u);
   const Dataset& slice = slices[0];
   EXPECT_EQ(stats.ratings_dropped, 0u);
@@ -68,7 +152,7 @@ TEST(DatasetShardTest, RoundRobinPartitionWithReplicatedContext) {
   constexpr size_t kShards = 3;
   ShardSliceStats stats;
   std::vector<Dataset> slices =
-      SliceDatasetByUser(seed, kShards, {}, &stats).ValueOrDie();
+      SliceDatasetByUser(seed, kShards, &stats).ValueOrDie();
   ASSERT_EQ(slices.size(), kShards);
 
   // Users partition round-robin with names preserved at local slots.

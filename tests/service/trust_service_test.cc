@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <random>
 #include <vector>
@@ -39,6 +41,61 @@ TEST(TrustServiceTest, CreateMatchesBatchPipeline) {
     for (size_t j = 0; j < ds.num_users(); ++j) {
       EXPECT_EQ(service->Trust(i, j), deriver.DeriveOne(i, j))
           << "pair (" << i << ", " << j << ")";
+    }
+  }
+}
+
+std::vector<uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<uint64_t> bits;
+  for (double v : values) bits.push_back(std::bit_cast<uint64_t>(v));
+  return bits;
+}
+
+TEST(TrustServiceTest, CreateSnapshotIsBitIdenticalToBuild) {
+  SynthConfig config;
+  config.num_users = 150;
+  config.seed = 5;
+  for (const Dataset& ds : {testing::TinyCommunity(),
+                            GenerateCommunity(config).ValueOrDie().dataset}) {
+    SCOPED_TRACE(std::to_string(ds.num_users()) + " users");
+    std::shared_ptr<const TrustSnapshot> built =
+        TrustSnapshot::Build(ds).ValueOrDie();
+    std::shared_ptr<const TrustSnapshot> served =
+        MustCreate(ds)->Snapshot();
+    EXPECT_EQ(served->version(), built->version());
+    EXPECT_EQ(served->num_reviews(), built->num_reviews());
+    EXPECT_EQ(served->num_ratings(), built->num_ratings());
+    const ReputationResult& a = served->reputation();
+    const ReputationResult& b = built->reputation();
+    EXPECT_EQ(Bits(a.expertise.data()), Bits(b.expertise.data()));
+    EXPECT_EQ(Bits(a.rater_reputation.data()),
+              Bits(b.rater_reputation.data()));
+    EXPECT_EQ(Bits(a.review_quality), Bits(b.review_quality));
+    ASSERT_EQ(a.convergence.size(), b.convergence.size());
+    for (size_t c = 0; c < a.convergence.size(); ++c) {
+      EXPECT_EQ(a.convergence[c].iterations, b.convergence[c].iterations);
+      EXPECT_EQ(std::bit_cast<uint64_t>(a.convergence[c].final_delta),
+                std::bit_cast<uint64_t>(b.convergence[c].final_delta));
+      EXPECT_EQ(a.convergence[c].converged, b.convergence[c].converged);
+    }
+    EXPECT_EQ(Bits(served->affiliation().data()),
+              Bits(built->affiliation().data()));
+    const std::vector<ExpertisePostingPtr>& pa = served->deriver().postings();
+    const std::vector<ExpertisePostingPtr>& pb = built->deriver().postings();
+    ASSERT_EQ(pa.size(), pb.size());
+    for (size_t c = 0; c < pa.size(); ++c) {
+      ASSERT_EQ(pa[c]->size(), pb[c]->size());
+      for (size_t k = 0; k < pa[c]->size(); ++k) {
+        EXPECT_EQ((*pa[c])[k].user, (*pb[c])[k].user);
+        EXPECT_EQ(std::bit_cast<uint64_t>((*pa[c])[k].score),
+                  std::bit_cast<uint64_t>((*pb[c])[k].score));
+      }
+    }
+    EXPECT_EQ(served->category_names(), built->category_names());
+    ASSERT_EQ(served->num_users(), ds.num_users());
+    for (const User& user : ds.users()) {
+      EXPECT_EQ(served->user_names().name(user.id.index()),
+                built->user_names().name(user.id.index()));
     }
   }
 }

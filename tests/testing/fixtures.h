@@ -3,6 +3,11 @@
 #ifndef WOT_TESTS_TESTING_FIXTURES_H_
 #define WOT_TESTS_TESTING_FIXTURES_H_
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "wot/community/dataset.h"
 #include "wot/community/dataset_builder.h"
 #include "wot/util/check.h"
@@ -57,6 +62,71 @@ inline Dataset SingleReviewCommunity() {
   WOT_CHECK_OK(builder.AddRating(u1, review, 1.0));
   WOT_CHECK_OK(builder.AddRating(u2, review, 0.2));
   return builder.Build().ValueOrDie();
+}
+
+namespace internal {
+template <typename Row, typename Same>
+std::string ColumnDiff(const char* column, const std::vector<Row>& a,
+                       const std::vector<Row>& b, const Same& same) {
+  if (a.size() != b.size()) {
+    return std::string(column) + ": " + std::to_string(a.size()) +
+           " rows vs " + std::to_string(b.size());
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!same(a[i], b[i])) {
+      return std::string(column) + " row " + std::to_string(i) + " differs";
+    }
+  }
+  return "";
+}
+}  // namespace internal
+
+/// Names the first column row in which \p a and \p b differ (every field,
+/// ids included, rating values bit for bit), or "" when they are
+/// field-identical.
+inline std::string DatasetDiff(const Dataset& a, const Dataset& b) {
+  using internal::ColumnDiff;
+  std::string diff = ColumnDiff(
+      "categories", a.categories(), b.categories(),
+      [](const Category& x, const Category& y) {
+        return x.id == y.id && x.name == y.name;
+      });
+  if (diff.empty()) {
+    diff = ColumnDiff("users", a.users(), b.users(),
+                      [](const User& x, const User& y) {
+                        return x.id == y.id && x.name == y.name;
+                      });
+  }
+  if (diff.empty()) {
+    diff = ColumnDiff("objects", a.objects(), b.objects(),
+                      [](const Object& x, const Object& y) {
+                        return x.id == y.id && x.category == y.category &&
+                               x.name == y.name;
+                      });
+  }
+  if (diff.empty()) {
+    diff = ColumnDiff("reviews", a.reviews(), b.reviews(),
+                      [](const Review& x, const Review& y) {
+                        return x.id == y.id && x.writer == y.writer &&
+                               x.object == y.object &&
+                               x.category == y.category;
+                      });
+  }
+  if (diff.empty()) {
+    diff = ColumnDiff("ratings", a.ratings(), b.ratings(),
+                      [](const ReviewRating& x, const ReviewRating& y) {
+                        return x.rater == y.rater && x.review == y.review &&
+                               std::bit_cast<uint64_t>(x.value) ==
+                                   std::bit_cast<uint64_t>(y.value);
+                      });
+  }
+  if (diff.empty()) {
+    diff = ColumnDiff("trust", a.trust_statements(), b.trust_statements(),
+                      [](const TrustStatement& x, const TrustStatement& y) {
+                        return x.source == y.source && x.target == y.target;
+                      });
+  }
+  return diff;
 }
 
 }  // namespace testing

@@ -314,13 +314,13 @@ int CmdQuery(int argc, char** argv) {
     if (!dataset.ok()) return Fail(dataset.status());
     if (shards == 1) {
       Result<std::unique_ptr<TrustService>> booted =
-          TrustService::Create(dataset.ValueOrDie());
+          TrustService::Create(std::move(dataset).ValueOrDie());
       if (!booted.ok()) return Fail(booted.status());
       service = std::move(booted).ValueOrDie();
       frontend = std::make_unique<api::ServiceFrontend>(service.get());
     } else {
       Result<std::unique_ptr<api::ShardRouter>> booted =
-          api::ShardRouter::Create(dataset.ValueOrDie(),
+          api::ShardRouter::Create(std::move(dataset).ValueOrDie(),
                                    static_cast<size_t>(shards));
       if (!booted.ok()) return Fail(booted.status());
       frontend = std::move(booted).ValueOrDie();
@@ -455,13 +455,13 @@ int CmdMetrics(int argc, char** argv) {
     if (!dataset.ok()) return Fail(dataset.status());
     if (shards == 1) {
       Result<std::unique_ptr<TrustService>> booted =
-          TrustService::Create(dataset.ValueOrDie());
+          TrustService::Create(std::move(dataset).ValueOrDie());
       if (!booted.ok()) return Fail(booted.status());
       service = std::move(booted).ValueOrDie();
       frontend = std::make_unique<api::ServiceFrontend>(service.get());
     } else {
       Result<std::unique_ptr<api::ShardRouter>> booted =
-          api::ShardRouter::Create(dataset.ValueOrDie(),
+          api::ShardRouter::Create(std::move(dataset).ValueOrDie(),
                                    static_cast<size_t>(shards));
       if (!booted.ok()) return Fail(booted.status());
       frontend = std::move(booted).ValueOrDie();

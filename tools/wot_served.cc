@@ -574,7 +574,7 @@ int Main(int argc, char** argv) {
     Result<Dataset> dataset = BootDataset(data, users, seed);
     if (!dataset.ok()) return Fail(dataset.status());
     Result<std::unique_ptr<TrustService>> booted =
-        TrustService::Create(dataset.ValueOrDie());
+        TrustService::Create(std::move(dataset).ValueOrDie());
     if (!booted.ok()) return Fail(booted.status());
     service = std::move(booted).ValueOrDie();
     plain_frontend = std::make_unique<api::ServiceFrontend>(service.get());
@@ -591,7 +591,7 @@ int Main(int argc, char** argv) {
     Result<Dataset> dataset = BootDataset(data, users, seed);
     if (!dataset.ok()) return Fail(dataset.status());
     Result<std::unique_ptr<api::ShardRouter>> booted =
-        api::ShardRouter::Create(dataset.ValueOrDie(),
+        api::ShardRouter::Create(std::move(dataset).ValueOrDie(),
                                  static_cast<size_t>(shards));
     if (!booted.ok()) return Fail(booted.status());
     router = std::move(booted).ValueOrDie();
