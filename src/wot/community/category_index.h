@@ -2,9 +2,9 @@
 // and Step 2 (eq. 4) read, kept small enough to maintain at ingest time.
 //
 // Categories are independent in the Riggs model, so a commit only needs to
-// materialize the CategoryViews of the categories it dirtied. This index
-// lets it find their reviews and ratings without regrouping the whole
-// dataset: DatasetBuilder appends to it on every successful Add* call, and
+// catch up the resident CategoryView slices of the categories it dirtied.
+// This index lets it find their new reviews and ratings without regrouping
+// the whole dataset: DatasetBuilder appends to it on every successful Add* call, and
 // builds it in one pass over the columns when it adopts a dataset.
 #ifndef WOT_COMMUNITY_CATEGORY_INDEX_H_
 #define WOT_COMMUNITY_CATEGORY_INDEX_H_

@@ -3,22 +3,27 @@
 #include <algorithm>
 #include <numeric>
 
-#include "wot/community/category_view.h"
 #include "wot/reputation/riggs.h"
 #include "wot/reputation/writer_reputation.h"
+#include "wot/util/check.h"
 #include "wot/util/parallel_for.h"
 
 namespace wot {
 
-Result<ReputationResult> ComputeReputations(
-    const Dataset& dataset, const CategoryIndex& index,
-    const ReputationOptions& options) {
+Status ValidateReputationOptions(const ReputationOptions& options) {
   if (options.tolerance <= 0.0) {
     return Status::InvalidArgument("tolerance must be positive");
   }
   if (options.max_iterations == 0) {
     return Status::InvalidArgument("max_iterations must be positive");
   }
+  return Status::OK();
+}
+
+Result<ReputationResult> ComputeReputations(
+    const Dataset& dataset, const CategoryIndex& index,
+    const ReputationOptions& options) {
+  WOT_RETURN_IF_ERROR(ValidateReputationOptions(options));
 
   const size_t num_users = dataset.num_users();
   const size_t num_categories = dataset.num_categories();
@@ -29,16 +34,23 @@ Result<ReputationResult> ComputeReputations(
   result.review_quality.assign(dataset.num_reviews(), 0.0);
   result.convergence.assign(num_categories, ConvergenceInfo{});
 
+  std::vector<CategoryView> views;
+  views.reserve(num_categories);
+  for (size_t c = 0; c < num_categories; ++c) {
+    views.emplace_back(CategoryId(static_cast<uint32_t>(c)));
+  }
   std::vector<size_t> all(num_categories);
   std::iota(all.begin(), all.end(), size_t{0});
-  RecomputeCategories(dataset, index, all, options, &result);
+  RecomputeCategories(dataset, index, all, options, views, &result);
   return result;
 }
 
 size_t RecomputeCategories(const Dataset& dataset, const CategoryIndex& index,
                            std::span<const size_t> categories,
                            const ReputationOptions& options,
+                           std::span<CategoryView> views,
                            ReputationResult* result) {
+  WOT_CHECK_EQ(views.size(), dataset.num_categories());
   // Category sizes are skewed, so hand the largest out first: the last
   // worker to finish then holds a small category, not the biggest one.
   std::vector<size_t> order(categories.begin(), categories.end());
@@ -49,16 +61,18 @@ size_t RecomputeCategories(const Dataset& dataset, const CategoryIndex& index,
     return num_ratings(a) > num_ratings(b);
   });
 
-  // Each worker writes to disjoint columns (its own category) and to the
-  // review-quality slots of its own category's reviews, so no locking is
-  // needed and results are independent of scheduling.
+  // Each worker catches up its own slice and writes to disjoint columns
+  // (its own category) and to the review-quality slots of its own
+  // category's reviews, so no locking is needed and results are
+  // independent of scheduling.
   const size_t num_users = dataset.num_users();
   std::vector<size_t> view_ratings(order.size(), 0);
   ParallelFor(
       order.size(),
       [&](size_t k) {
         const size_t c = order[k];
-        CategoryView view(dataset, index, CategoryId(static_cast<uint32_t>(c)));
+        CategoryView& view = views[c];
+        view.CatchUp(dataset, index);
         view_ratings[k] = view.num_ratings();
         RiggsResult riggs = RiggsFixedPoint(view, options);
         std::vector<double> writer_rep =

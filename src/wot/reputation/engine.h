@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "wot/community/category_index.h"
+#include "wot/community/category_view.h"
 #include "wot/community/dataset.h"
 #include "wot/linalg/dense_matrix.h"
 #include "wot/reputation/options.h"
@@ -34,11 +35,17 @@ struct ReputationResult {
   std::vector<ConvergenceInfo> convergence;
 };
 
+/// \brief InvalidArgument unless \p options can drive the fixed point
+/// (a positive tolerance and iteration cap).
+Status ValidateReputationOptions(const ReputationOptions& options);
+
 /// \brief Runs Step 1 over all categories of \p dataset; \p index must
 /// describe \p dataset.
 ///
 /// Categories are independent; they are processed concurrently on
-/// options.num_threads workers. Deterministic regardless of thread count.
+/// options.num_threads workers, each over a transient slice built through
+/// the same catch-up as the incremental engine's resident ones.
+/// Deterministic regardless of thread count.
 Result<ReputationResult> ComputeReputations(const Dataset& dataset,
                                             const CategoryIndex& index,
                                             const ReputationOptions& options);
@@ -46,13 +53,17 @@ Result<ReputationResult> ComputeReputations(const Dataset& dataset,
 /// \brief Recomputes Step 1 for \p categories only, overwriting their
 /// expertise and rater-reputation columns, their reviews' qualities and
 /// their convergence entries in \p result, which must already have
-/// \p dataset's shape. Every other entry is left alone. Categories run
-/// largest-first on options.num_threads workers; the result does not
-/// depend on the order. Returns the number of ratings placed into the
-/// categories' views.
+/// \p dataset's shape. Every other entry is left alone. \p views holds one
+/// slice per category of \p dataset; each recomputed category's slice is
+/// first caught up with \p dataset (CategoryView::CatchUp), so it must
+/// have been caught up only with earlier versions of it. Categories run
+/// largest-first on options.num_threads workers, each worker on its own
+/// slice; the result does not depend on the order. Returns the number of
+/// ratings Step 1 swept: the ratings the recomputed slices hold.
 size_t RecomputeCategories(const Dataset& dataset, const CategoryIndex& index,
                            std::span<const size_t> categories,
                            const ReputationOptions& options,
+                           std::span<CategoryView> views,
                            ReputationResult* result);
 
 }  // namespace wot

@@ -1,6 +1,6 @@
 #include "wot/reputation/incremental.h"
 
-#include <numeric>
+#include <algorithm>
 #include <utility>
 
 namespace wot {
@@ -19,12 +19,12 @@ void IncrementalReputationEngine::MarkDerived(const Dataset& dataset) {
 
 Status IncrementalReputationEngine::FullRebuild(const Dataset& dataset,
                                                 const CategoryIndex& index) {
-  WOT_ASSIGN_OR_RETURN(result_, ComputeReputations(dataset, index, options_));
-  last_recomputed_.resize(dataset.num_categories());
-  std::iota(last_recomputed_.begin(), last_recomputed_.end(), size_t{0});
-  last_view_ratings_ = dataset.num_ratings();
-  MarkDerived(dataset);
-  return Status::OK();
+  WOT_RETURN_IF_ERROR(ValidateReputationOptions(options_));
+  // The derived state of the empty dataset: Update then finds every
+  // category new, catches every slice up from empty and sizes the result.
+  *this = IncrementalReputationEngine(options_);
+  initialized_ = true;
+  return Update(dataset, index);
 }
 
 Status IncrementalReputationEngine::Seed(const Dataset& dataset,
@@ -39,6 +39,10 @@ Status IncrementalReputationEngine::Seed(const Dataset& dataset,
         "seeded reputation result does not match the dataset's shape");
   }
   result_ = result;
+  views_.clear();
+  for (size_t c = 0; c < dataset.num_categories(); ++c) {
+    views_.emplace_back(CategoryId(static_cast<uint32_t>(c)));
+  }
   last_recomputed_.clear();
   last_view_ratings_ = 0;
   MarkDerived(dataset);
@@ -88,19 +92,21 @@ Status IncrementalReputationEngine::Update(const Dataset& dataset,
     DenseMatrix expertise(num_users, num_categories, 0.0);
     DenseMatrix rater(num_users, num_categories, 0.0);
     for (size_t u = 0; u < result_.expertise.rows(); ++u) {
-      for (size_t c = 0; c < result_.expertise.cols(); ++c) {
-        expertise.At(u, c) = result_.expertise.At(u, c);
-        rater.At(u, c) = result_.rater_reputation.At(u, c);
-      }
+      std::ranges::copy(result_.expertise.Row(u), expertise.Row(u).begin());
+      std::ranges::copy(result_.rater_reputation.Row(u),
+                        rater.Row(u).begin());
     }
     result_.expertise = std::move(expertise);
     result_.rater_reputation = std::move(rater);
   }
   result_.review_quality.resize(dataset.num_reviews(), 0.0);
   result_.convergence.resize(num_categories, ConvergenceInfo{});
+  for (size_t c = views_.size(); c < num_categories; ++c) {
+    views_.emplace_back(CategoryId(static_cast<uint32_t>(c)));
+  }
 
   last_view_ratings_ =
-      RecomputeCategories(dataset, index, dirty, options_, &result_);
+      RecomputeCategories(dataset, index, dirty, options_, views_, &result_);
   last_recomputed_ = std::move(dirty);
   MarkDerived(dataset);
   return Status::OK();

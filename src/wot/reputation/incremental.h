@@ -6,12 +6,19 @@
 // Categories are fully independent in the Riggs model (DESIGN.md S9), so
 // per-category recomputation is exact — results are bit-identical to a
 // from-scratch run on the same dataset, which the tests assert.
+//
+// The engine keeps one CategoryView slice per category resident. A dirty
+// category's slice is caught up with the appended reviews and ratings
+// (CategoryView::CatchUp) rather than rebuilt, then the fixed point runs
+// over it from scratch: every recomputation still starts from all-ones
+// reputations, so no earlier result leaks into a later one.
 #ifndef WOT_REPUTATION_INCREMENTAL_H_
 #define WOT_REPUTATION_INCREMENTAL_H_
 
 #include <vector>
 
 #include "wot/community/category_index.h"
+#include "wot/community/category_view.h"
 #include "wot/community/dataset.h"
 #include "wot/reputation/engine.h"
 #include "wot/util/result.h"
@@ -34,8 +41,8 @@ class IncrementalReputationEngine {
  public:
   explicit IncrementalReputationEngine(ReputationOptions options = {});
 
-  /// \brief Computes everything from scratch; \p index must describe
-  /// \p dataset.
+  /// \brief Computes everything from scratch, catching every slice up from
+  /// empty; \p index must describe \p dataset.
   Status FullRebuild(const Dataset& dataset, const CategoryIndex& index);
 
   /// \brief Brings the result up to date with \p dataset, recomputing only
@@ -52,8 +59,10 @@ class IncrementalReputationEngine {
   /// without recomputing anything (the durable-restore path: the result
   /// was persisted by an engine that had converged over this exact
   /// dataset). A subsequent Update() recomputes only categories dirtied
-  /// afterwards — byte-identical to an engine that never restarted. Fails
-  /// (engine unchanged) when the result's shapes don't match \p dataset.
+  /// afterwards — byte-identical to an engine that never restarted. Builds
+  /// no slice: every slice starts empty and catches up from empty the
+  /// first time its category is dirty. Fails (engine unchanged) when the
+  /// result's shapes don't match \p dataset.
   Status Seed(const Dataset& dataset, const ReputationResult& result);
 
   /// \brief Current result; valid after a successful FullRebuild/Update.
@@ -69,10 +78,15 @@ class IncrementalReputationEngine {
     return last_recomputed_;
   }
 
-  /// \brief Ratings placed into the views of the categories the most
-  /// recent successful FullRebuild or Update recomputed (0 after Seed):
-  /// the size of the slice that call scanned.
+  /// \brief Ratings held by the slices of the categories the most recent
+  /// successful FullRebuild or Update recomputed (0 after Seed): the
+  /// ratings that call's Step 1 swept.
   size_t last_view_ratings() const { return last_view_ratings_; }
+
+  /// \brief The resident slice of every category, indexed by category.
+  /// A slice holds its category as of the last call that recomputed it;
+  /// after Seed, slices of categories not recomputed since are empty.
+  const std::vector<CategoryView>& views() const { return views_; }
 
   bool initialized() const { return initialized_; }
 
@@ -89,6 +103,7 @@ class IncrementalReputationEngine {
   std::vector<size_t> last_recomputed_;
   size_t last_view_ratings_ = 0;
   ReputationResult result_;
+  std::vector<CategoryView> views_;
 };
 
 }  // namespace wot

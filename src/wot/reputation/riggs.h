@@ -17,6 +17,16 @@
 // from "all raters fully reliable" until the max quality change falls below
 // options.tolerance (or max_iterations is hit).
 //
+// Each iteration is one pass over the slice's review-major runs: a review's
+// eq.-1 quality is computed, then each of its ratings adds |quality - rho|
+// to its rater's deviation sum, and eq. 2 finishes per rater after the
+// pass. Reviews are walked in ascending local order, so every rater's sum
+// adds its terms in ascending local-review order -- the order a rater-side
+// grouping would list them in -- and the result is bit-identical to two
+// separate sweeps (see CategoryView). The eq.-2 sum of an iteration reads
+// that iteration's qualities and the eq.-1 weights read the previous
+// iteration's reputations, exactly as in the two-sweep formulation.
+//
 // Edge-case semantics (the paper is silent; documented in DESIGN.md §6):
 //  * a review with no ratings has quality 0;
 //  * if every rater of a review currently has reputation 0, the quality

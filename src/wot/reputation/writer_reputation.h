@@ -4,7 +4,9 @@
 //     rep(u_w) = (sum_j quality(r_j) / n_w) * (1 - 1/(n_w + 1))
 //
 // where the sum ranges over the writer's reviews in the category and n_w is
-// their count.
+// their count. The sums are accumulated in one pass over the slice's
+// reviews in ascending local order, which is each writer's own review
+// order, so no per-writer grouping is needed.
 #ifndef WOT_REPUTATION_WRITER_REPUTATION_H_
 #define WOT_REPUTATION_WRITER_REPUTATION_H_
 

@@ -87,9 +87,9 @@ class TrustService {
     size_t categories_recomputed = 0;
     size_t affiliation_rows_recomputed = 0;
     size_t postings_rebuilt = 0;
-    /// Rating entries placed into the views of the recomputed categories:
-    /// the slice of the dataset Step 1 scanned (all ratings only when
-    /// every category was dirty).
+    /// Ratings held by the slices of the recomputed categories: the
+    /// ratings Step 1 swept (all ratings only when every category was
+    /// dirty).
     size_t view_ratings = 0;
     double elapsed_millis = 0.0;
   };
@@ -207,6 +207,14 @@ class TrustService {
       WOT_EXCLUDES(writer_mu_) {
     MutexLock lock(writer_mu_);
     return builder_.category_index();
+  }
+
+  /// \brief The Step-1 engine Commit() drives, with its resident category
+  /// slices. Same contract as staged_dataset().
+  const IncrementalReputationEngine& reputation_engine() const
+      WOT_EXCLUDES(writer_mu_) {
+    MutexLock lock(writer_mu_);
+    return engine_;
   }
 
   // --- Durability ---------------------------------------------------------

@@ -1,11 +1,25 @@
 #include "wot/telemetry/metric_registry.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "wot/util/check.h"
 
 namespace wot {
 namespace telemetry {
+
+namespace {
+
+// a + b, saturated at INT64_MAX: a histogram's sum of heavy-tailed samples
+// can outgrow int64_t, and a pinned sum beats a wrapped one.
+int64_t SaturatingAdd(int64_t a, int64_t b) {
+  int64_t out;
+  return __builtin_add_overflow(a, b, &out)
+             ? std::numeric_limits<int64_t>::max()
+             : out;
+}
+
+}  // namespace
 
 void HistogramSnapshot::MergeFrom(const HistogramSnapshot& other) {
   WOT_CHECK_EQ(buckets.size(), other.buckets.size());
@@ -13,7 +27,7 @@ void HistogramSnapshot::MergeFrom(const HistogramSnapshot& other) {
     buckets[b] += other.buckets[b];
   }
   count += other.count;
-  sum += other.sum;
+  sum = SaturatingAdd(sum, other.sum);
 }
 
 double HistogramSnapshot::Quantile(double q) const {
@@ -62,7 +76,8 @@ HistogramSnapshot LatencyHistogram::Snapshot(std::string name) const {
   snapshot.name = std::move(name);
   snapshot.buckets.assign(kNumBuckets, 0);
   for (const Stripe& stripe : stripes_) {
-    snapshot.sum += stripe.sum.load(std::memory_order_relaxed);
+    snapshot.sum = SaturatingAdd(snapshot.sum,
+                                 stripe.sum.load(std::memory_order_relaxed));
     for (size_t b = 0; b < kNumBuckets; ++b) {
       snapshot.buckets[b] +=
           stripe.counts[b].load(std::memory_order_relaxed);

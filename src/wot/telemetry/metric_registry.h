@@ -123,6 +123,8 @@ class Gauge {
 struct HistogramSnapshot {
   std::string name;
   int64_t count = 0;
+  /// Saturates at INT64_MAX: recording, folding stripes and merging
+  /// snapshots all pin an overflowing sum there.
   int64_t sum = 0;
   std::vector<int64_t> buckets;
 
@@ -186,8 +188,15 @@ class LatencyHistogram {
     Stripe& stripe = stripes_[StripeIndex()];
     stripe.counts[BucketIndex(value)].fetch_add(
         1, std::memory_order_relaxed);
-    stripe.sum.fetch_add(value < 0 ? 0 : value,
-                         std::memory_order_relaxed);
+    const int64_t add = value < 0 ? 0 : value;
+    const int64_t before =
+        stripe.sum.fetch_add(add, std::memory_order_relaxed);
+    int64_t after;
+    if (__builtin_add_overflow(before, add, &after)) {
+      // The add wrapped: pin the stripe at INT64_MAX, as the snapshot's
+      // fold does, so one stream and its merged shards agree.
+      stripe.sum.store(INT64_MAX, std::memory_order_relaxed);
+    }
 #else
     (void)value;
 #endif

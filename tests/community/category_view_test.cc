@@ -2,24 +2,29 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "testing/fixtures.h"
 #include "wot/community/indices.h"
 #include "wot/synth/generator.h"
+#include "wot/util/rng.h"
 
 namespace wot {
 namespace {
 
-// The view as the DatasetIndices-based constructor laid it out (hash-map
-// remaps over the dataset-wide review and rating groupings). The Riggs sums
-// run in these orders, so the index-based constructor must reproduce every
-// field exactly.
+// The slice as the DatasetIndices-based constructor laid it out (hash-map
+// remaps over the dataset-wide review and rating groupings), except that
+// raters are numbered first-seen over the category's ratings in rating-id
+// (append) order, as the slice numbers them. The Riggs sums run in these
+// orders, so the index-based slice must reproduce every field exactly.
 struct ReferenceView {
   std::vector<ReviewId> review_ids;
   std::vector<UserId> writer_ids;
   std::vector<UserId> rater_ids;
+  std::vector<uint32_t> rater_counts;
   std::vector<uint32_t> review_writer;
   std::vector<std::vector<std::pair<uint32_t, double>>> review_ratings;
 };
@@ -28,10 +33,23 @@ ReferenceView BuildReference(const Dataset& dataset,
                              const DatasetIndices& indices,
                              CategoryId category) {
   ReferenceView ref;
+  std::unordered_map<uint32_t, uint32_t> rater_local;
+  for (const ReviewRating& rating : dataset.ratings()) {
+    if (dataset.object(dataset.review(rating.review).object).category !=
+        category) {
+      continue;
+    }
+    auto [x, new_rater] = rater_local.emplace(
+        rating.rater.value(), static_cast<uint32_t>(ref.rater_ids.size()));
+    if (new_rater) {
+      ref.rater_ids.push_back(rating.rater);
+      ref.rater_counts.push_back(0);
+    }
+    ++ref.rater_counts[x->second];
+  }
   auto reviews = indices.ReviewsInCategory(category);
   ref.review_ids.assign(reviews.begin(), reviews.end());
   std::unordered_map<uint32_t, uint32_t> writer_local;
-  std::unordered_map<uint32_t, uint32_t> rater_local;
   for (ReviewId review : ref.review_ids) {
     UserId writer = dataset.review(review).writer;
     auto [w, new_writer] = writer_local.emplace(
@@ -40,55 +58,40 @@ ReferenceView BuildReference(const Dataset& dataset,
     ref.review_writer.push_back(w->second);
     auto& ratings = ref.review_ratings.emplace_back();
     for (const auto& rating : indices.RatingsOfReview(review)) {
-      auto [x, new_rater] = rater_local.emplace(
-          rating.rater.value(), static_cast<uint32_t>(ref.rater_ids.size()));
-      if (new_rater) ref.rater_ids.push_back(rating.rater);
-      ratings.emplace_back(x->second, rating.value);
+      ratings.emplace_back(rater_local.at(rating.rater.value()),
+                           rating.value);
     }
   }
   return ref;
 }
 
-// Field-by-field equality, including the rater- and writer-side groupings
-// (each must list its entries in ascending local review order).
+// Field-by-field equality with the reference.
 void ExpectMatchesReference(const CategoryView& view,
                             const ReferenceView& ref) {
   ASSERT_EQ(view.num_reviews(), ref.review_ids.size());
   ASSERT_EQ(view.num_writers(), ref.writer_ids.size());
   ASSERT_EQ(view.num_raters(), ref.rater_ids.size());
-  std::vector<std::vector<CategoryView::RaterSideRating>> by_rater(
-      ref.rater_ids.size());
-  std::vector<std::vector<uint32_t>> by_writer(ref.writer_ids.size());
   size_t num_ratings = 0;
   for (size_t lr = 0; lr < ref.review_ids.size(); ++lr) {
     EXPECT_EQ(view.review_id(lr), ref.review_ids[lr]);
     EXPECT_EQ(view.WriterOfReview(lr), ref.review_writer[lr]);
-    by_writer[ref.review_writer[lr]].push_back(static_cast<uint32_t>(lr));
-    auto ratings = view.RatingsOfReview(lr);
-    ASSERT_EQ(ratings.size(), ref.review_ratings[lr].size());
-    for (size_t k = 0; k < ratings.size(); ++k) {
-      EXPECT_EQ(ratings[k].local_rater, ref.review_ratings[lr][k].first);
-      EXPECT_EQ(ratings[k].value, ref.review_ratings[lr][k].second);
-      by_rater[ref.review_ratings[lr][k].first].push_back(
-          {static_cast<uint32_t>(lr), ref.review_ratings[lr][k].second});
+    auto raters = view.RatersOfReview(lr);
+    auto values = view.ValuesOfReview(lr);
+    ASSERT_EQ(raters.size(), ref.review_ratings[lr].size());
+    ASSERT_EQ(values.size(), ref.review_ratings[lr].size());
+    for (size_t k = 0; k < raters.size(); ++k) {
+      EXPECT_EQ(raters[k], ref.review_ratings[lr][k].first);
+      EXPECT_EQ(values[k], ref.review_ratings[lr][k].second);
     }
-    num_ratings += ratings.size();
+    num_ratings += raters.size();
   }
   EXPECT_EQ(view.num_ratings(), num_ratings);
   for (size_t lw = 0; lw < ref.writer_ids.size(); ++lw) {
     EXPECT_EQ(view.writer_id(lw), ref.writer_ids[lw]);
-    auto reviews = view.ReviewsOfWriter(lw);
-    EXPECT_EQ(std::vector<uint32_t>(reviews.begin(), reviews.end()),
-              by_writer[lw]);
   }
   for (size_t lx = 0; lx < ref.rater_ids.size(); ++lx) {
     EXPECT_EQ(view.rater_id(lx), ref.rater_ids[lx]);
-    auto ratings = view.RatingsByRater(lx);
-    ASSERT_EQ(ratings.size(), by_rater[lx].size());
-    for (size_t k = 0; k < ratings.size(); ++k) {
-      EXPECT_EQ(ratings[k].local_review, by_rater[lx][k].local_review);
-      EXPECT_EQ(ratings[k].value, by_rater[lx][k].value);
-    }
+    EXPECT_EQ(view.RatingCountOfRater(lx), ref.rater_counts[lx]);
   }
 }
 
@@ -182,38 +185,31 @@ TEST_F(CategoryViewTest, WriterOfReview) {
 }
 
 TEST_F(CategoryViewTest, RatingsOfReviewLocalSide) {
-  auto r0_ratings = movies_.RatingsOfReview(0);
-  ASSERT_EQ(r0_ratings.size(), 2u);
+  auto r0_raters = movies_.RatersOfReview(0);
+  auto r0_values = movies_.ValuesOfReview(0);
+  ASSERT_EQ(r0_raters.size(), 2u);
+  ASSERT_EQ(r0_values.size(), 2u);
   // Values for r0: 1.0 (u2) then 0.8 (u3), in dataset order.
-  EXPECT_DOUBLE_EQ(r0_ratings[0].value, 1.0);
-  EXPECT_DOUBLE_EQ(r0_ratings[1].value, 0.8);
-  EXPECT_EQ(movies_.rater_id(r0_ratings[0].local_rater), UserId(2));
-  EXPECT_EQ(movies_.rater_id(r0_ratings[1].local_rater), UserId(3));
+  EXPECT_DOUBLE_EQ(r0_values[0], 1.0);
+  EXPECT_DOUBLE_EQ(r0_values[1], 0.8);
+  EXPECT_EQ(movies_.rater_id(r0_raters[0]), UserId(2));
+  EXPECT_EQ(movies_.rater_id(r0_raters[1]), UserId(3));
 }
 
-TEST_F(CategoryViewTest, RatingsByRaterConsistentWithReviewSide) {
-  // Cross-check: every (rater, review, value) triple present on one side
-  // must appear on the other.
-  size_t total = 0;
-  for (size_t lx = 0; lx < movies_.num_raters(); ++lx) {
-    for (const auto& rr : movies_.RatingsByRater(lx)) {
-      bool found = false;
-      for (const auto& rs : movies_.RatingsOfReview(rr.local_review)) {
-        if (rs.local_rater == lx && rs.value == rr.value) {
-          found = true;
-        }
-      }
-      EXPECT_TRUE(found);
-      ++total;
-    }
-  }
-  EXPECT_EQ(total, movies_.num_ratings());
+TEST_F(CategoryViewTest, RaterCountsInAppendOrder) {
+  // Movies ratings in id order: u2->r0, u2->r2, u3->r0.
+  EXPECT_EQ(movies_.rater_id(0), UserId(2));
+  EXPECT_EQ(movies_.rater_id(1), UserId(3));
+  EXPECT_EQ(movies_.RatingCountOfRater(0), 2u);
+  EXPECT_EQ(movies_.RatingCountOfRater(1), 1u);
 }
 
-TEST_F(CategoryViewTest, ReviewsOfWriter) {
-  auto u0_reviews = movies_.ReviewsOfWriter(0);
-  ASSERT_EQ(u0_reviews.size(), 1u);
-  EXPECT_EQ(movies_.review_id(u0_reviews[0]), ReviewId(0));
+TEST_F(CategoryViewTest, CaughtUpTwiceIsUnchanged) {
+  CategoryView view(CategoryId(0));
+  view.CatchUp(dataset_, index_);
+  EXPECT_EQ(view, movies_);
+  view.CatchUp(dataset_, index_);
+  EXPECT_EQ(view, movies_);
 }
 
 TEST_F(CategoryViewTest, EmptyCategory) {
@@ -240,7 +236,96 @@ TEST_F(CategoryViewTest, ReviewWithNoRatings) {
   CategoryView view(ds, index, CategoryId(0));
   EXPECT_EQ(view.num_reviews(), 1u);
   EXPECT_EQ(view.num_raters(), 0u);
-  EXPECT_TRUE(view.RatingsOfReview(0).empty());
+  EXPECT_TRUE(view.RatersOfReview(0).empty());
+  EXPECT_TRUE(view.ValuesOfReview(0).empty());
+}
+
+// Grows a dataset through random Add* calls (users, categories, objects,
+// reviews, ratings; rejected calls are skipped) and, at random points,
+// catches one resident slice per category up with it. Each caught-up slice
+// must equal a slice built once over the same data, field for field: a new
+// rating lands at the end of its review's run, after ratings that earlier
+// catch-ups placed, and new raters and writers are numbered after old ones.
+void ExpectCatchUpEqualsFreshBuild(uint64_t seed,
+                                   const DatasetBuilderOptions& options) {
+  SCOPED_TRACE(seed);
+  Rng rng(seed);
+  DatasetBuilder builder(options);
+  std::vector<CategoryView> resident;
+  builder.AddCategory("c0");
+  for (int u = 0; u < 4; ++u) builder.AddUser("u" + std::to_string(u));
+  constexpr double kStages[] = {0.2, 0.4, 0.6, 0.8, 1.0};
+  for (int step = 0; step < 600; ++step) {
+    const Dataset& staged = builder.StagedView();
+    const double roll = rng.NextDouble();
+    if (roll < 0.02) {
+      builder.AddCategory("c" + std::to_string(staged.num_categories()));
+    } else if (roll < 0.08) {
+      builder.AddUser("u" + std::to_string(staged.num_users()));
+    } else if (roll < 0.16) {
+      const CategoryId category(static_cast<uint32_t>(
+          rng.NextBounded(staged.num_categories())));
+      (void)builder.AddObject(category,
+                              "o" + std::to_string(staged.num_objects()));
+    } else if (roll < 0.3 && staged.num_objects() > 0) {
+      (void)builder.AddReview(
+          UserId(static_cast<uint32_t>(rng.NextBounded(staged.num_users()))),
+          ObjectId(
+              static_cast<uint32_t>(rng.NextBounded(staged.num_objects()))));
+    } else if (staged.num_reviews() > 0) {
+      // Favour recent reviews a little so runs grow across catch-ups.
+      const size_t bound = rng.NextBool(0.5)
+                               ? staged.num_reviews()
+                               : std::min<size_t>(staged.num_reviews(), 5);
+      const size_t review =
+          staged.num_reviews() - 1 - rng.NextBounded(bound);
+      (void)builder.AddRating(
+          UserId(static_cast<uint32_t>(rng.NextBounded(staged.num_users()))),
+          ReviewId(static_cast<uint32_t>(review)),
+          kStages[rng.NextBounded(5)]);
+    }
+    if (!rng.NextBool(0.08) && step != 599) {
+      continue;
+    }
+    const CategoryIndex& index = builder.category_index();
+    for (size_t c = resident.size(); c < staged.num_categories(); ++c) {
+      resident.emplace_back(CategoryId(static_cast<uint32_t>(c)));
+    }
+    for (size_t c = 0; c < resident.size(); ++c) {
+      // Some slices skip a catch-up and absorb two deltas at once.
+      if (rng.NextBool(0.2) && step != 599) continue;
+      resident[c].CatchUp(staged, index);
+      const CategoryView fresh(staged, index,
+                               CategoryId(static_cast<uint32_t>(c)));
+      ASSERT_TRUE(resident[c] == fresh)
+          << "category " << c << " at step " << step;
+    }
+  }
+  // The final slices also match the grouped-indices reference.
+  const Dataset& staged = builder.StagedView();
+  const DatasetIndices indices(staged);
+  for (size_t c = 0; c < resident.size(); ++c) {
+    const CategoryId category(static_cast<uint32_t>(c));
+    ExpectMatchesReference(resident[c],
+                           BuildReference(staged, indices, category));
+  }
+}
+
+TEST(CategoryViewCatchUpTest, CatchUpEqualsFreshBuild) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    ExpectCatchUpEqualsFreshBuild(seed, DatasetBuilderOptions{});
+  }
+}
+
+TEST(CategoryViewCatchUpTest, CatchUpEqualsFreshBuildPermissive) {
+  // Self ratings and duplicate (rater, review) pairs allowed.
+  DatasetBuilderOptions permissive;
+  permissive.enforce_one_review_per_object = false;
+  permissive.reject_self_ratings = false;
+  permissive.reject_duplicate_ratings = false;
+  for (uint64_t seed = 101; seed <= 120; ++seed) {
+    ExpectCatchUpEqualsFreshBuild(seed, permissive);
+  }
 }
 
 }  // namespace

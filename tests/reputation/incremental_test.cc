@@ -189,6 +189,61 @@ TEST(IncrementalTest, UpdateReportsExactlyTheDirtyCategories) {
             (std::vector<size_t>{books.index()}));
 }
 
+TEST(IncrementalTest, SeedBuildsNoSliceUntilItsCategoryIsDirty) {
+  // Seeded with TinyCommunity's converged state, the engine holds empty
+  // slices; one extra books rating catches only the books slice up, from
+  // empty, to the slice a single build gives.
+  DatasetBuilder builder;
+  CategoryId movies = builder.AddCategory("movies");
+  CategoryId books = builder.AddCategory("books");
+  UserId u0 = builder.AddUser("u0");
+  UserId u1 = builder.AddUser("u1");
+  UserId u2 = builder.AddUser("u2");
+  UserId u3 = builder.AddUser("u3");
+  ObjectId m0 = builder.AddObject(movies, "m0").ValueOrDie();
+  ObjectId m1 = builder.AddObject(movies, "m1").ValueOrDie();
+  ObjectId b0 = builder.AddObject(books, "b0").ValueOrDie();
+  ReviewId r0 = builder.AddReview(u0, m0).ValueOrDie();
+  ReviewId r1 = builder.AddReview(u0, b0).ValueOrDie();
+  ReviewId r2 = builder.AddReview(u1, m1).ValueOrDie();
+  WOT_CHECK_OK(builder.AddRating(u2, r0, 1.0));
+  WOT_CHECK_OK(builder.AddRating(u2, r1, 0.6));
+  WOT_CHECK_OK(builder.AddRating(u2, r2, 0.2));
+  WOT_CHECK_OK(builder.AddRating(u3, r0, 0.8));
+
+  const Dataset v1 = testing::TinyCommunity();
+  IncrementalReputationEngine engine;
+  ASSERT_TRUE(engine
+                  .Seed(v1, ComputeReputations(v1, CategoryIndex(v1),
+                                               ReputationOptions{})
+                                .ValueOrDie())
+                  .ok());
+  ASSERT_EQ(engine.views().size(), 2u);
+  EXPECT_EQ(engine.views()[0], CategoryView(movies));
+  EXPECT_EQ(engine.views()[1], CategoryView(books));
+
+  WOT_CHECK_OK(builder.AddRating(u3, r1, 0.8));
+  Dataset v2 = builder.Build().ValueOrDie();
+  const CategoryIndex index(v2);
+  ASSERT_TRUE(engine.Update(v2, index).ok());
+  EXPECT_EQ(engine.views()[0], CategoryView(movies));
+  EXPECT_EQ(engine.views()[1], CategoryView(v2, index, books));
+  EXPECT_EQ(engine.last_view_ratings(), 2u);
+  ExpectSameResult(engine.result(),
+                   ComputeReputations(v2, index, ReputationOptions{})
+                       .ValueOrDie());
+}
+
+TEST(IncrementalTest, FullRebuildRejectsInvalidOptions) {
+  Dataset ds = testing::TinyCommunity();
+  ReputationOptions options;
+  options.max_iterations = 0;
+  IncrementalReputationEngine engine(options);
+  Status s = engine.FullRebuild(ds, CategoryIndex(ds));
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(engine.initialized());
+}
+
 TEST(IncrementalTest, UpdateBeforeRebuildActsAsRebuild) {
   Dataset ds = testing::TinyCommunity();
   IncrementalReputationEngine engine;

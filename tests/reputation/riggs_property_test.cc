@@ -103,16 +103,16 @@ TEST_P(RiggsPropertyTest, QualityBoundedByRatingRange) {
   CategoryView view(ds, index, CategoryId(0));
   RiggsResult result = RiggsFixedPoint(view, ReputationOptions{});
   for (size_t lr = 0; lr < view.num_reviews(); ++lr) {
-    auto ratings = view.RatingsOfReview(lr);
-    if (ratings.empty()) {
+    auto values = view.ValuesOfReview(lr);
+    if (values.empty()) {
       EXPECT_DOUBLE_EQ(result.review_quality[lr], 0.0);
       continue;
     }
     double lo = 1.0;
     double hi = 0.0;
-    for (const auto& rating : ratings) {
-      lo = std::min(lo, rating.value);
-      hi = std::max(hi, rating.value);
+    for (double value : values) {
+      lo = std::min(lo, value);
+      hi = std::max(hi, value);
     }
     EXPECT_GE(result.review_quality[lr], lo - 1e-12);
     EXPECT_LE(result.review_quality[lr], hi + 1e-12);

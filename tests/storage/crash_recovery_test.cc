@@ -21,6 +21,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -118,6 +119,30 @@ void SendToBoth(api::ApiClient* server, api::Frontend* reference,
       << "request id " << request.id;
 }
 
+/// Polls \p client's stats until the segment of snapshot \p version is on
+/// disk (the server writes segments in the background), failing after a
+/// bounded wait. A kill before that point would leave phase 1 in the WAL
+/// tail too, and recovery would replay more than phase 2.
+void AwaitSegment(api::ApiClient* client, uint64_t version) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  int64_t id = 5000;
+  while (true) {
+    Result<api::Response> response =
+        client->Call(MakeRequest(++id, api::StatsRequest{}));
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_TRUE(response.ValueOrDie().status.ok());
+    const api::StatsResult& stats =
+        std::get<api::StatsResult>(response.ValueOrDie().payload);
+    if (stats.segment_epoch >= static_cast<int64_t>(version)) return;
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the segment of snapshot " << version
+        << " was not written within 30 s (segment_epoch "
+        << stats.segment_epoch << ")";
+    usleep(2000);
+  }
+}
+
 /// The acked logical history, phase by phase.
 std::vector<api::Request> Phase1Requests() {
   std::vector<api::Request> requests;
@@ -183,6 +208,11 @@ TEST(CrashRecoveryTest, SigkillMidStreamLosesNothingAcked) {
     for (const api::Request& request : Phase2Requests()) {
       SendToBoth(client.get(), &reference, request);
       if (::testing::Test::HasFatalFailure()) return;
+    }
+    AwaitSegment(client.get(), reference_service->Snapshot()->version());
+    if (::testing::Test::HasFatalFailure()) {
+      kill(first.pid, SIGKILL);
+      return;
     }
   }
   // No shutdown, no flush request, no connection drain: SIGKILL.

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -151,6 +152,22 @@ TEST(HistogramSnapshotTest, MergeAddsCountsSumsAndBuckets) {
   int64_t total = 0;
   for (int64_t c : sa.buckets) total += c;
   EXPECT_EQ(total, 3);
+}
+
+TEST(HistogramSnapshotTest, MergeSaturatesSumAtInt64Max) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  HistogramSnapshot a;
+  a.buckets.assign(LatencyHistogram::kNumBuckets, 0);
+  a.count = 1;
+  a.sum = kMax - 5;
+  HistogramSnapshot b = a;
+  b.sum = kMax - 7;
+  a.MergeFrom(b);
+  EXPECT_EQ(a.count, 2);
+  EXPECT_EQ(a.sum, kMax);
+  // A pinned sum stays pinned.
+  a.MergeFrom(b);
+  EXPECT_EQ(a.sum, kMax);
 }
 
 TEST(RegistryTest, GetOrCreateReturnsStablePointers) {
