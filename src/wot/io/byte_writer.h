@@ -29,6 +29,9 @@ class ByteWriter {
   size_t size() const { return buffer_.size(); }
   const std::string& buffer() const { return buffer_; }
   std::string Take() { return std::move(buffer_); }
+  /// Empties the buffer but keeps its capacity, so a staging buffer is
+  /// reused without reallocating.
+  void Clear() { buffer_.clear(); }
 
  private:
   ByteWriter& PutLittleEndian(uint64_t v, int bytes);

@@ -1,7 +1,12 @@
 #include "wot/io/csv.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstring>
 #include <fstream>
-#include <sstream>
 
 namespace wot {
 
@@ -134,16 +139,33 @@ Status WriteCsvFile(const std::string& path,
 }
 
 Result<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IOError("cannot open '" + path + "' for reading");
+  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::IOError("cannot open '" + path +
+                           "' for reading: " + std::strerror(errno));
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) {
-    return Status::IOError("read failure on '" + path + "'");
+  // Reserving the size up front keeps a regular file at 1x its size in
+  // memory; reading on to EOF still serves pipes and growing files.
+  std::string contents;
+  struct stat st = {};
+  if (::fstat(fd, &st) == 0 && st.st_size > 0) {
+    contents.reserve(static_cast<size_t>(st.st_size));
   }
-  return buffer.str();
+  char chunk[1 << 16];
+  while (true) {
+    ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      int err = errno;
+      ::close(fd);
+      return Status::IOError("read failure on '" + path +
+                             "': " + std::strerror(err));
+    }
+    if (n == 0) break;
+    contents.append(chunk, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  return contents;
 }
 
 Status WriteStringToFile(const std::string& path, std::string_view content) {

@@ -32,7 +32,9 @@ std::string WriteCsv(const std::vector<CsvRow>& rows);
 /// \brief Writes rows to a file, creating or truncating it.
 Status WriteCsvFile(const std::string& path, const std::vector<CsvRow>& rows);
 
-/// \brief Reads a whole file into a string.
+/// \brief Reads a whole file into a string (EINTR-safe; reads to EOF, so
+/// pipes work too). A regular file is read into a buffer reserved at its
+/// size, so it costs its size in memory once.
 Result<std::string> ReadFileToString(const std::string& path);
 
 /// \brief Writes a string to a file (truncate semantics).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "wot/io/csv.h"
 #include "wot/storage/fs_util.h"
 #include "wot/storage/segment.h"
 #include "wot/storage/storage_manager.h"
@@ -90,26 +91,28 @@ Response ReplicationSource::FetchSegment(int64_t shard,
     Result<storage::SegmentInfo> info =
         storage::ReadSegmentInfo(candidate.path);
     if (!info.ok()) continue;
-    Result<std::string> contents =
-        storage::ReadFileToString(candidate.path);
-    if (!contents.ok()) continue;
-    const std::string& bytes = contents.ValueOrDie();
-    if (offset > bytes.size()) {
+    const uint64_t size = info.ValueOrDie().file_bytes;
+    if (offset > size) {
       return ErrorResponse(ApiStatus::InvalidArgument(
           "repl_fetch: segment offset " + std::to_string(offset) +
           " beyond segment-" + std::to_string(candidate.number) +
-          " (" + std::to_string(bytes.size()) + " bytes)"));
+          " (" + std::to_string(size) + " bytes)"));
     }
+    // Only this chunk is read: a bootstrap reads the file once in total,
+    // not once per chunk.
+    const size_t length =
+        static_cast<size_t>(std::min<uint64_t>(kMaxChunkBytes, size - offset));
+    Result<std::string> chunk =
+        storage::ReadFileRange(candidate.path, offset, length);
+    if (!chunk.ok()) continue;
     ReplFetchResult result;
     result.kind = static_cast<int64_t>(ReplArtifactKind::kSegment);
     result.base_version = candidate.number;
     result.target_version = candidate.number;
     result.source_version = SourceVersion(shard);
     result.offset = offset;
-    result.total_bytes = bytes.size();
-    result.payload =
-        bytes.substr(offset, std::min<uint64_t>(kMaxChunkBytes,
-                                                bytes.size() - offset));
+    result.total_bytes = size;
+    result.payload = std::move(chunk).ValueOrDie();
     ship_bytes_->Increment(static_cast<int64_t>(result.payload.size()));
     Response response;
     response.payload = std::move(result);
@@ -142,7 +145,7 @@ Response ReplicationSource::FetchWalDelta(int64_t shard,
     return FetchSegment(shard, dir, 0);
   }
 
-  Result<std::string> contents = storage::ReadFileToString(current->path);
+  Result<std::string> contents = ReadFileToString(current->path);
   if (!contents.ok()) {
     return ErrorResponse(
         ApiStatus::Internal("repl_fetch: " + contents.status().message()));

@@ -10,6 +10,7 @@
 #include "wot/io/byte_reader.h"
 #include "wot/io/byte_writer.h"
 #include "wot/io/crc32.h"
+#include "wot/io/csv.h"
 #include "wot/service/dataset_shard.h"
 #include "wot/storage/fs_util.h"
 #include "wot/util/logging.h"

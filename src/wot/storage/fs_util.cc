@@ -25,16 +25,18 @@ Status WriteAllFd(int fd, std::string_view bytes) {
   return Status::OK();
 }
 
-Result<std::string> ReadFileToString(const std::string& path) {
+Result<std::string> ReadFileRange(const std::string& path, uint64_t offset,
+                                  size_t length) {
   int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     return Status::IOError("cannot open '" + path +
                            "': " + std::strerror(errno));
   }
-  std::string contents;
-  char chunk[1 << 16];
-  while (true) {
-    ssize_t n = ::read(fd, chunk, sizeof(chunk));
+  std::string contents(length, '\0');
+  size_t done = 0;
+  while (done < length) {
+    ssize_t n = ::pread(fd, contents.data() + done, length - done,
+                        static_cast<off_t>(offset + done));
     if (n < 0) {
       if (errno == EINTR) continue;
       int err = errno;
@@ -42,8 +44,12 @@ Result<std::string> ReadFileToString(const std::string& path) {
       return Status::IOError("cannot read '" + path +
                              "': " + std::strerror(err));
     }
-    if (n == 0) break;
-    contents.append(chunk, static_cast<size_t>(n));
+    if (n == 0) {
+      ::close(fd);
+      return Status::IOError("'" + path + "' ends before byte " +
+                             std::to_string(offset + length));
+    }
+    done += static_cast<size_t>(n);
   }
   ::close(fd);
   return contents;
@@ -72,7 +78,8 @@ std::string DirnameOf(const std::string& path) {
   return path.substr(0, slash);
 }
 
-Status AtomicWriteFile(const std::string& path, std::string_view contents) {
+Status AtomicWriteFileWith(const std::string& path,
+                           const std::function<Status(int fd)>& produce) {
   const std::string tmp = path + ".tmp";
   int fd = ::open(tmp.c_str(),
                   O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC, 0644);
@@ -80,7 +87,7 @@ Status AtomicWriteFile(const std::string& path, std::string_view contents) {
     return Status::IOError("cannot create '" + tmp +
                            "': " + std::strerror(errno));
   }
-  Status status = WriteAllFd(fd, contents);
+  Status status = produce(fd);
   if (status.ok() && ::fsync(fd) != 0) {
     status = Status::IOError("cannot fsync '" + tmp +
                              "': " + std::strerror(errno));
@@ -97,6 +104,11 @@ Status AtomicWriteFile(const std::string& path, std::string_view contents) {
                            "': " + std::strerror(err));
   }
   return SyncDir(DirnameOf(path));
+}
+
+Status AtomicWriteFile(const std::string& path, std::string_view contents) {
+  return AtomicWriteFileWith(
+      path, [contents](int fd) { return WriteAllFd(fd, contents); });
 }
 
 Status EnsureDir(const std::string& dir) {

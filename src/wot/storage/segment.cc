@@ -29,33 +29,8 @@ constexpr uint32_t kFormatVersion = 1;
 constexpr size_t kHeaderBytes = 16;  // magic + bulk_offset
 constexpr size_t kFooterBytes = 4;   // trailing CRC32
 
-void StoreU32(uint32_t v, char* p) {
-  p[0] = static_cast<char>(v & 0xff);
-  p[1] = static_cast<char>((v >> 8) & 0xff);
-  p[2] = static_cast<char>((v >> 16) & 0xff);
-  p[3] = static_cast<char>((v >> 24) & 0xff);
-}
-
-void StoreU64(uint64_t v, char* p) {
-  StoreU32(static_cast<uint32_t>(v), p);
-  StoreU32(static_cast<uint32_t>(v >> 32), p + 4);
-}
-
-// Raw f64 block helpers: straight memcpy on little-endian hosts, a
-// per-element byte shuffle otherwise, so the file format stays LE.
-void AppendDoublesLE(const double* src, size_t count, std::string* out) {
-  if constexpr (std::endian::native == std::endian::little) {
-    out->append(reinterpret_cast<const char*>(src),
-                count * sizeof(double));
-  } else {
-    char bytes[8];
-    for (size_t i = 0; i < count; ++i) {
-      StoreU64(std::bit_cast<uint64_t>(src[i]), bytes);
-      out->append(bytes, 8);
-    }
-  }
-}
-
+// Raw f64 blocks are little-endian in the file: a straight copy on
+// little-endian hosts, a per-element byte shuffle otherwise.
 void CopyDoublesFromLE(const char* src, double* dst, size_t count) {
   // An empty column's data() may be null, which memcpy must not see even
   // with a zero count.
@@ -193,6 +168,146 @@ Status DecodeHeader(const std::string& path, ByteReader* reader,
   return Status::OK();
 }
 
+// The streaming sink folds its staging buffer into the CRC and the file
+// once the buffer holds this much, so a segment is never held whole in
+// memory.
+constexpr size_t kFlushBytes = size_t{1} << 20;
+
+// Counts the bytes EncodeStructured emits without producing them. The
+// header carries bulk_offset ahead of the structured section, so the
+// writer runs the encoder into this sink first to learn it.
+class CountingSink {
+ public:
+  CountingSink& PutU8(uint8_t) { return Add(1); }
+  CountingSink& PutU32(uint32_t) { return Add(4); }
+  CountingSink& PutU64(uint64_t) { return Add(8); }
+  CountingSink& PutDouble(double) { return Add(8); }
+  CountingSink& PutString(std::string_view s) { return Add(4 + s.size()); }
+  void EndRecord() {}
+
+  uint64_t bytes() const { return bytes_; }
+
+ private:
+  CountingSink& Add(uint64_t n) {
+    bytes_ += n;
+    return *this;
+  }
+  uint64_t bytes_ = 0;
+};
+
+// Streams a file to \p fd: the inherited Put* calls encode into a
+// staging buffer, which is folded into a running CRC and written out once
+// it is full. Write errors are sticky: every later write is skipped and
+// Finish() returns the first error.
+class StreamSink : public ByteWriter {
+ public:
+  explicit StreamSink(int fd) : fd_(fd) {}
+
+  // Called between records: writes the buffer out once it is full.
+  void EndRecord() {
+    if (size() >= kFlushBytes) Flush();
+  }
+
+  // Writes \p count doubles little-endian. On little-endian hosts they go
+  // to the file straight from \p src, with no copy through the buffer.
+  void PutDoubles(const double* src, size_t count) {
+    if constexpr (std::endian::native == std::endian::little) {
+      Flush();
+      Write({reinterpret_cast<const char*>(src), count * sizeof(double)});
+    } else {
+      for (size_t i = 0; i < count; ++i) {
+        PutDouble(src[i]);
+        EndRecord();
+      }
+    }
+  }
+
+  // Bytes emitted so far, buffered ones included.
+  uint64_t bytes() const { return written_ + size(); }
+
+  // Writes out the buffer, then the CRC of every byte before it.
+  Status Finish() {
+    Flush();
+    PutU32(crc_);
+    if (status_.ok()) status_ = WriteAllFd(fd_, buffer());
+    return status_;
+  }
+
+ private:
+  void Flush() {
+    Write(buffer());
+    Clear();
+  }
+
+  void Write(std::string_view bytes) {
+    if (!status_.ok() || bytes.empty()) return;
+    crc_ = Crc32Update(crc_, bytes.data(), bytes.size());
+    written_ += bytes.size();
+    status_ = WriteAllFd(fd_, bytes);
+  }
+
+  const int fd_;
+  uint32_t crc_ = 0;
+  uint64_t written_ = 0;
+  Status status_;
+};
+
+// The structured section (see segment.h), into a CountingSink or a
+// StreamSink. The caller has checked the snapshot's shape.
+template <typename Sink>
+void EncodeStructured(const TrustSnapshot& snapshot, const Dataset& staged,
+                      Sink& out) {
+  out.PutU32(kFormatVersion);
+  out.PutU64(snapshot.version());
+  out.PutU64(staged.num_categories());
+  out.PutU64(staged.num_users());
+  out.PutU64(staged.num_objects());
+  out.PutU64(staged.num_reviews());
+  out.PutU64(staged.num_ratings());
+  out.PutU64(staged.num_trust_statements());
+  for (const Category& category : staged.categories()) {
+    out.PutString(category.name);
+    out.EndRecord();
+  }
+  for (const User& user : staged.users()) {
+    out.PutString(user.name);
+    out.EndRecord();
+  }
+  for (const Object& object : staged.objects()) {
+    out.PutU32(object.category.value()).PutString(object.name);
+    out.EndRecord();
+  }
+  for (const Review& review : staged.reviews()) {
+    out.PutU32(review.writer.value()).PutU32(review.object.value());
+    out.EndRecord();
+  }
+  for (const ReviewRating& rating : staged.ratings()) {
+    out.PutU32(rating.rater.value())
+        .PutU32(rating.review.value())
+        .PutDouble(rating.value);
+    out.EndRecord();
+  }
+  for (const TrustStatement& statement : staged.trust_statements()) {
+    out.PutU32(statement.source.value()).PutU32(statement.target.value());
+    out.EndRecord();
+  }
+  for (const ConvergenceInfo& info : snapshot.reputation().convergence) {
+    out.PutU64(static_cast<uint64_t>(info.iterations))
+        .PutDouble(info.final_delta)
+        .PutU8(info.converged ? 1 : 0);
+  }
+  const std::vector<ExpertisePostingPtr>& postings =
+      snapshot.deriver().postings();
+  out.PutU8(postings.empty() ? 0 : 1);
+  for (const ExpertisePostingPtr& posting : postings) {
+    out.PutU64(posting->size());
+    for (const ScoredUser& entry : *posting) {
+      out.PutU32(entry.user).PutDouble(entry.score);
+      out.EndRecord();
+    }
+  }
+}
+
 }  // namespace
 
 Status WriteSegment(const std::string& path, const TrustSnapshot& snapshot,
@@ -215,80 +330,36 @@ Status WriteSegment(const std::string& path, const TrustSnapshot& snapshot,
     return Status::InvalidArgument("snapshot reputation shape mismatch");
   }
 
-  ByteWriter structured;
-  structured.PutU32(kFormatVersion);
-  structured.PutU64(snapshot.version());
-  structured.PutU64(num_categories);
-  structured.PutU64(num_users);
-  structured.PutU64(staged.num_objects());
-  structured.PutU64(staged.num_reviews());
-  structured.PutU64(staged.num_ratings());
-  structured.PutU64(staged.num_trust_statements());
-  for (const Category& category : staged.categories()) {
-    structured.PutString(category.name);
-  }
-  for (const User& user : staged.users()) {
-    structured.PutString(user.name);
-  }
-  for (const Object& object : staged.objects()) {
-    structured.PutU32(object.category.value()).PutString(object.name);
-  }
-  for (const Review& review : staged.reviews()) {
-    structured.PutU32(review.writer.value()).PutU32(review.object.value());
-  }
-  for (const ReviewRating& rating : staged.ratings()) {
-    structured.PutU32(rating.rater.value())
-        .PutU32(rating.review.value())
-        .PutDouble(rating.value);
-  }
-  for (const TrustStatement& statement : staged.trust_statements()) {
-    structured.PutU32(statement.source.value())
-        .PutU32(statement.target.value());
-  }
-  for (const ConvergenceInfo& info : reputation.convergence) {
-    structured.PutU64(static_cast<uint64_t>(info.iterations))
-        .PutDouble(info.final_delta)
-        .PutU8(info.converged ? 1 : 0);
-  }
   const std::vector<ExpertisePostingPtr>& postings =
       snapshot.deriver().postings();
-  if (postings.empty()) {
-    structured.PutU8(0);
-  } else {
-    if (postings.size() != num_categories) {
-      return Status::InvalidArgument("snapshot postings shape mismatch");
-    }
-    structured.PutU8(1);
-    for (const ExpertisePostingPtr& posting : postings) {
-      structured.PutU64(posting->size());
-      for (const ScoredUser& entry : *posting) {
-        structured.PutU32(entry.user).PutDouble(entry.score);
-      }
-    }
+  if (!postings.empty() && postings.size() != num_categories) {
+    return Status::InvalidArgument("snapshot postings shape mismatch");
   }
 
-  std::string file(kMagic, sizeof(kMagic));
-  file.resize(kHeaderBytes, '\0');
-  file += structured.buffer();
-  while (file.size() % 8 != 0) {
-    file.push_back('\0');
-  }
-  StoreU64(file.size(), file.data() + 8);
+  CountingSink counted;
+  EncodeStructured(snapshot, staged, counted);
+  const uint64_t structured_end = kHeaderBytes + counted.bytes();
+  const uint64_t bulk_offset = (structured_end + 7) / 8 * 8;
+  const size_t matrix_doubles = num_users * num_categories;
 
-  AppendDoublesLE(reputation.expertise.data().data(),
-                  num_users * num_categories, &file);
-  AppendDoublesLE(reputation.rater_reputation.data().data(),
-                  num_users * num_categories, &file);
-  AppendDoublesLE(snapshot.affiliation().data().data(),
-                  num_users * num_categories, &file);
-  AppendDoublesLE(reputation.review_quality.data(),
-                  reputation.review_quality.size(), &file);
-
-  char crc_bytes[4];
-  StoreU32(Crc32(file.data(), file.size()), crc_bytes);
-  file.append(crc_bytes, sizeof(crc_bytes));
-
-  return AtomicWriteFile(path, file);
+  return AtomicWriteFileWith(path, [&](int fd) -> Status {
+    StreamSink out(fd);
+    out.PutRaw({kMagic, sizeof(kMagic)}).PutU64(bulk_offset);
+    EncodeStructured(snapshot, staged, out);
+    if (out.bytes() != structured_end) {
+      return Status::Internal(
+          "segment structured section is " + std::to_string(out.bytes()) +
+          " bytes, counted " + std::to_string(structured_end));
+    }
+    while (out.bytes() < bulk_offset) out.PutU8(0);
+    out.PutDoubles(reputation.expertise.data().data(), matrix_doubles);
+    out.PutDoubles(reputation.rater_reputation.data().data(),
+                   matrix_doubles);
+    out.PutDoubles(snapshot.affiliation().data().data(), matrix_doubles);
+    out.PutDoubles(reputation.review_quality.data(),
+                   reputation.review_quality.size());
+    return out.Finish();
+  });
 }
 
 // Decodes everything past the envelope. Total on hostile input: every

@@ -30,8 +30,15 @@
 // them straight out of a read-only mapping (one bulk copy per matrix on
 // little-endian hosts; DenseMatrix owns its memory, so a true in-place
 // matrix view stays future work). Segments are written temp-then-rename
-// (see AtomicWriteFile): a segment file is either complete or absent,
+// (see AtomicWriteFileWith): a segment file is either complete or absent,
 // and the trailing CRC rejects any bit rot in between.
+//
+// WriteSegment streams the file: the structured section goes through one
+// ~1 MiB staging buffer that is folded into a running CRC and written out
+// as it fills, and the f64 blocks are written straight from the matrices,
+// so the file is never held whole in memory. bulk_offset precedes the
+// section it follows; the writer learns it by running the same encoder
+// into a byte-counting sink first.
 #ifndef WOT_STORAGE_SEGMENT_H_
 #define WOT_STORAGE_SEGMENT_H_
 

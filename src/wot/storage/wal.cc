@@ -11,6 +11,7 @@
 #include "wot/io/byte_reader.h"
 #include "wot/io/byte_writer.h"
 #include "wot/io/crc32.h"
+#include "wot/io/csv.h"
 #include "wot/storage/fs_util.h"
 #include "wot/util/logging.h"
 

@@ -110,5 +110,34 @@ TEST(FileStringTest, RoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(FileStringTest, EmptyFile) {
+  std::string path =
+      (std::filesystem::temp_directory_path() / "wot_str_empty.bin").string();
+  ASSERT_TRUE(WriteStringToFile(path, "").ok());
+  Result<std::string> read = ReadFileToString(path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_TRUE(read.ValueOrDie().empty());
+  std::remove(path.c_str());
+}
+
+TEST(FileStringTest, FileLargerThanOneReadChunk) {
+  std::string path =
+      (std::filesystem::temp_directory_path() / "wot_str_large.bin").string();
+  // 64 KiB is the read chunk; cover several chunks plus a partial one.
+  std::string full;
+  for (size_t i = 0; i < 5 * 65536 + 123; ++i) {
+    full.push_back(static_cast<char>((i * 131) % 251));
+  }
+  ASSERT_TRUE(WriteStringToFile(path, full).ok());
+  EXPECT_EQ(ReadFileToString(path).ValueOrDie(), full);
+  std::remove(path.c_str());
+}
+
+TEST(FileStringTest, MissingFileIsIOError) {
+  Result<std::string> read = ReadFileToString("/nonexistent/dir/f.bin");
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kIOError);
+}
+
 }  // namespace
 }  // namespace wot

@@ -21,6 +21,9 @@
 #include "wot/replication/replica_frontend.h"
 #include "wot/replication/replication_source.h"
 #include "wot/storage/durable_boot.h"
+#include "wot/storage/segment.h"
+#include "wot/storage/storage_manager.h"
+#include "wot/synth/generator.h"
 
 namespace wot {
 namespace replication {
@@ -147,6 +150,52 @@ TEST(ReplicationTest, BootstrapFromSegmentIsBitIdentical) {
   EXPECT_EQ(replica->role(), api::ReplRole::kReplica);
   api::ServiceFrontend mirror(replica->service());
   ExpectSameSurface(primary.frontend(), &mirror, 4);
+}
+
+TEST(ReplicationTest, SegmentChunksConcatenateToTheFile) {
+  const std::string dir = FreshDir("repl_segment_chunks");
+  SynthConfig config;
+  config.seed = 7;
+  config.num_users = 800;
+  std::unique_ptr<TrustService> service =
+      TrustService::Create(GenerateCommunity(config).ValueOrDie().dataset)
+          .ValueOrDie();
+  const std::string path = storage::SegmentPath(dir, 1);
+  ASSERT_TRUE(storage::WriteSegment(path, *service->Snapshot(),
+                                    service->staged_dataset())
+                  .ok());
+  const std::string file = storage::testing::Slurp(path);
+  constexpr uint64_t kChunk = ReplicationSource::kMaxChunkBytes;
+  ASSERT_GT(file.size(), 2 * kChunk);
+  ASSERT_NE(file.size() % kChunk, 0u);  // the last chunk is short
+
+  ReplicationSource source(dir, 1, [](int64_t) { return uint64_t{1}; });
+  auto fetch = [&source](uint64_t offset) {
+    api::ReplFetchRequest request;
+    request.offset = offset;
+    return source.HandleReplFetch(request);
+  };
+  std::string shipped;
+  for (;;) {
+    const uint64_t offset = shipped.size();
+    api::Response response = fetch(offset);
+    ASSERT_TRUE(response.status.ok()) << response.status.message;
+    const auto* result =
+        std::get_if<api::ReplFetchResult>(&response.payload);
+    ASSERT_NE(result, nullptr);
+    EXPECT_EQ(result->kind,
+              static_cast<int64_t>(api::ReplArtifactKind::kSegment));
+    EXPECT_EQ(result->offset, offset);
+    EXPECT_EQ(result->total_bytes, file.size());
+    EXPECT_EQ(result->payload.size(),
+              std::min<uint64_t>(kChunk, file.size() - offset));
+    if (offset == file.size()) break;
+    shipped += result->payload;
+  }
+  EXPECT_TRUE(shipped == file);
+
+  api::Response beyond = fetch(file.size() + 1);
+  EXPECT_EQ(beyond.status.code, api::ApiCode::kInvalidArgument);
 }
 
 TEST(ReplicationTest, EpochWalkAppliesOneWalPerStepAndReportsLag) {
