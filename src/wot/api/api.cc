@@ -71,31 +71,13 @@ Status ToStatus(const ApiStatus& status) {
   return Status::Internal(status.message);
 }
 
-namespace {
-
-// Indexed by RequestPayload variant alternative.
-const char* const kMethodNames[] = {
-    "trust",         "topk",          "explain",      "ingest_user",
-    "ingest_category", "ingest_object", "ingest_review", "ingest_rating",
-    "commit",        "stats",         "metrics",      "repl_fetch",
-    "repl_status",   "repl_promote",
-};
-static_assert(sizeof(kMethodNames) / sizeof(kMethodNames[0]) ==
-                  std::variant_size_v<RequestPayload>,
-              "method name table out of sync with RequestPayload");
-
-}  // namespace
-
 const char* MethodName(const RequestPayload& payload) {
-  return kMethodNames[payload.index()];
+  return wire::kNames<RequestPayload>[payload.index()];
 }
 
 const std::vector<std::string>& AllMethodNames() {
-  static const std::vector<std::string>* names = [] {
-    auto* v = new std::vector<std::string>();
-    for (const char* name : kMethodNames) v->push_back(name);
-    return v;
-  }();
+  static const std::vector<std::string>* names = new std::vector<std::string>(
+      wire::kNames<RequestPayload>.begin(), wire::kNames<RequestPayload>.end());
   return *names;
 }
 

@@ -18,6 +18,11 @@
 //     answers a frame with any other version with INVALID_ARGUMENT rather
 //     than guessing — see docs/wire_protocol.md for the evolution rules.
 //
+// Every message below describes its wire form once, in a `kWire` field
+// table next to its fields (wire_schema.h); both codecs are generated
+// from those tables. Adding a method means one struct with its table,
+// appended to RequestPayload, plus its handler in each DispatchPayload.
+//
 // Users in queries are referenced by *name or decimal index* (one string
 // field), resolved server-side by ResolveUserRef so every client shares
 // identical lookup semantics.
@@ -30,6 +35,7 @@
 #include <variant>
 #include <vector>
 
+#include "wot/api/wire_schema.h"
 #include "wot/util/result.h"
 #include "wot/util/status.h"
 
@@ -98,6 +104,9 @@ struct TrustQuery {
   std::string target;  ///< trustee, by name or decimal index
 
   friend bool operator==(const TrustQuery&, const TrustQuery&) = default;
+  static constexpr auto kWire =
+      wire::Message("trust", wire::Field("source", &TrustQuery::source),
+                    wire::Field("target", &TrustQuery::target));
 };
 
 /// \brief topk: the k most trusted users as seen by source.
@@ -106,6 +115,9 @@ struct TopKQuery {
   int64_t k = 10;
 
   friend bool operator==(const TopKQuery&, const TopKQuery&) = default;
+  static constexpr auto kWire =
+      wire::Message("topk", wire::Field("source", &TopKQuery::source),
+                    wire::Field("k", &TopKQuery::k).Optional());
 };
 
 /// \brief explain: per-category breakdown of one derived degree.
@@ -114,6 +126,9 @@ struct ExplainQuery {
   std::string target;
 
   friend bool operator==(const ExplainQuery&, const ExplainQuery&) = default;
+  static constexpr auto kWire =
+      wire::Message("explain", wire::Field("source", &ExplainQuery::source),
+                    wire::Field("target", &ExplainQuery::target));
 };
 
 /// \brief ingest_user: register a new community member.
@@ -121,6 +136,8 @@ struct IngestUser {
   std::string name;
 
   friend bool operator==(const IngestUser&, const IngestUser&) = default;
+  static constexpr auto kWire =
+      wire::Message("ingest_user", wire::Field("name", &IngestUser::name));
 };
 
 /// \brief ingest_category: register a new topic context.
@@ -128,6 +145,8 @@ struct IngestCategory {
   std::string name;
 
   friend bool operator==(const IngestCategory&, const IngestCategory&) = default;
+  static constexpr auto kWire = wire::Message(
+      "ingest_category", wire::Field("name", &IngestCategory::name));
 };
 
 /// \brief ingest_object: register a reviewable item under a category
@@ -137,6 +156,9 @@ struct IngestObject {
   std::string name;
 
   friend bool operator==(const IngestObject&, const IngestObject&) = default;
+  static constexpr auto kWire = wire::Message(
+      "ingest_object", wire::Field("category", &IngestObject::category),
+      wire::Field("name", &IngestObject::name));
 };
 
 /// \brief ingest_review: record that \p writer reviewed object \p object.
@@ -145,6 +167,9 @@ struct IngestReview {
   int64_t object = -1;
 
   friend bool operator==(const IngestReview&, const IngestReview&) = default;
+  static constexpr auto kWire = wire::Message(
+      "ingest_review", wire::Field("writer", &IngestReview::writer),
+      wire::Field("object", &IngestReview::object));
 };
 
 /// \brief ingest_rating: record rating \p value by \p rater on a review.
@@ -154,16 +179,22 @@ struct IngestRating {
   double value = 0.0;
 
   friend bool operator==(const IngestRating&, const IngestRating&) = default;
+  static constexpr auto kWire = wire::Message(
+      "ingest_rating", wire::Field("rater", &IngestRating::rater),
+      wire::Field("review", &IngestRating::review),
+      wire::Field("value", &IngestRating::value));
 };
 
 /// \brief commit: derive staged activity and publish a new snapshot.
 struct CommitRequest {
   friend bool operator==(const CommitRequest&, const CommitRequest&) = default;
+  static constexpr auto kWire = wire::Message("commit");
 };
 
 /// \brief stats: serving counters and snapshot shape.
 struct StatsRequest {
   friend bool operator==(const StatsRequest&, const StatsRequest&) = default;
+  static constexpr auto kWire = wire::Message("stats");
 };
 
 /// \brief metrics: a scrape of the serving telemetry registry (counters,
@@ -173,6 +204,7 @@ struct StatsRequest {
 struct MetricsRequest {
   friend bool operator==(const MetricsRequest&,
                          const MetricsRequest&) = default;
+  static constexpr auto kWire = wire::Message("metrics").EnvelopeAnswered();
 };
 
 /// \brief repl_fetch: pull the next replication artifact from a durable
@@ -195,6 +227,13 @@ struct ReplFetchRequest {
 
   friend bool operator==(const ReplFetchRequest&,
                          const ReplFetchRequest&) = default;
+  static constexpr auto kWire =
+      wire::Message(
+          "repl_fetch", wire::Field("shard", &ReplFetchRequest::shard).Optional(),
+          wire::Field("applied_version", &ReplFetchRequest::applied_version)
+              .Optional(),
+          wire::Field("offset", &ReplFetchRequest::offset).Optional())
+          .EnvelopeAnswered();
 };
 
 /// \brief repl_status: the answering server's replication role and
@@ -202,6 +241,8 @@ struct ReplFetchRequest {
 struct ReplStatusRequest {
   friend bool operator==(const ReplStatusRequest&,
                          const ReplStatusRequest&) = default;
+  static constexpr auto kWire =
+      wire::Message("repl_status").EnvelopeAnswered();
 };
 
 /// \brief repl_promote: promote a follower to primary (stop pulling,
@@ -210,6 +251,8 @@ struct ReplStatusRequest {
 struct ReplPromoteRequest {
   friend bool operator==(const ReplPromoteRequest&,
                          const ReplPromoteRequest&) = default;
+  static constexpr auto kWire =
+      wire::Message("repl_promote").EnvelopeAnswered();
 };
 
 using RequestPayload =
@@ -227,8 +270,8 @@ struct Request {
   friend bool operator==(const Request&, const Request&) = default;
 };
 
-/// \brief The wire method name selected by \p payload ("trust", "topk",
-/// "explain", "ingest_user", ..., "commit", "stats").
+/// \brief The wire method name selected by \p payload (its kWire name:
+/// "trust", "topk", "explain", "ingest_user", ..., "commit", "stats").
 const char* MethodName(const RequestPayload& payload);
 
 /// \brief All wire method names, in variant order (for fuzzing and docs).
@@ -245,6 +288,10 @@ struct ScoredUserEntry {
 
   friend bool operator==(const ScoredUserEntry&,
                          const ScoredUserEntry&) = default;
+  static constexpr auto kWire =
+      wire::Record(wire::Field("user", &ScoredUserEntry::user),
+                   wire::Field("name", &ScoredUserEntry::name),
+                   wire::Field("score", &ScoredUserEntry::score));
 };
 
 struct TrustResult {
@@ -256,6 +303,11 @@ struct TrustResult {
   uint64_t snapshot_version = 0;
 
   friend bool operator==(const TrustResult&, const TrustResult&) = default;
+  static constexpr auto kWire = wire::Message(
+      "trust", wire::Field("trust", &TrustResult::trust),
+      wire::Field("source_name", &TrustResult::source_name),
+      wire::Field("target_name", &TrustResult::target_name),
+      wire::Field("snapshot_version", &TrustResult::snapshot_version));
 };
 
 struct TopKResult {
@@ -264,6 +316,10 @@ struct TopKResult {
   uint64_t snapshot_version = 0;
 
   friend bool operator==(const TopKResult&, const TopKResult&) = default;
+  static constexpr auto kWire = wire::Message(
+      "topk", wire::Field("source_name", &TopKResult::source_name),
+      wire::Field("trustees", &TopKResult::trustees),
+      wire::Field("snapshot_version", &TopKResult::snapshot_version));
 };
 
 /// \brief One eq.-5 term of an explain breakdown.
@@ -276,6 +332,12 @@ struct ExplainTermResult {
 
   friend bool operator==(const ExplainTermResult&,
                          const ExplainTermResult&) = default;
+  static constexpr auto kWire = wire::Record(
+      wire::Field("category", &ExplainTermResult::category),
+      wire::Field("category_name", &ExplainTermResult::category_name),
+      wire::Field("affiliation", &ExplainTermResult::affiliation),
+      wire::Field("expertise", &ExplainTermResult::expertise),
+      wire::Field("contribution", &ExplainTermResult::contribution));
 };
 
 struct ExplainResult {
@@ -287,6 +349,13 @@ struct ExplainResult {
   uint64_t snapshot_version = 0;
 
   friend bool operator==(const ExplainResult&, const ExplainResult&) = default;
+  static constexpr auto kWire = wire::Message(
+      "explain", wire::Field("trust", &ExplainResult::trust),
+      wire::Field("affinity_sum", &ExplainResult::affinity_sum),
+      wire::Field("source_name", &ExplainResult::source_name),
+      wire::Field("target_name", &ExplainResult::target_name),
+      wire::Field("terms", &ExplainResult::terms),
+      wire::Field("snapshot_version", &ExplainResult::snapshot_version));
 };
 
 /// \brief Result of any ingest_* method: the dense id assigned to the new
@@ -295,6 +364,8 @@ struct IngestResult {
   int64_t assigned_id = -1;
 
   friend bool operator==(const IngestResult&, const IngestResult&) = default;
+  static constexpr auto kWire = wire::Message(
+      "ingest", wire::Field("assigned_id", &IngestResult::assigned_id));
 };
 
 /// \brief What a commit did. Timing is deliberately NOT on the wire so
@@ -307,6 +378,14 @@ struct CommitResult {
   int64_t postings_rebuilt = 0;
 
   friend bool operator==(const CommitResult&, const CommitResult&) = default;
+  static constexpr auto kWire = wire::Message(
+      "commit", wire::Field("snapshot_version", &CommitResult::snapshot_version),
+      wire::Field("published", &CommitResult::published),
+      wire::Field("categories_recomputed",
+                  &CommitResult::categories_recomputed),
+      wire::Field("affiliation_rows_recomputed",
+                  &CommitResult::affiliation_rows_recomputed),
+      wire::Field("postings_rebuilt", &CommitResult::postings_rebuilt));
 };
 
 struct StatsResult {
@@ -361,6 +440,44 @@ struct StatsResult {
   int64_t recovered_replayed_records = 0;
 
   friend bool operator==(const StatsResult&, const StatsResult&) = default;
+  // Fields after requests_served are additive v1 fields: optional on
+  // decode (an older server omits them). The shard fields appear on the
+  // NDJSON wire only when shards > 0 and the durability fields only when
+  // segment_epoch > 0, so unsharded and non-durable responses stay
+  // byte-identical to older servers.
+  static constexpr auto kWire = wire::Message(
+      "stats", wire::Field("snapshot_version", &StatsResult::snapshot_version),
+      wire::Field("users", &StatsResult::users),
+      wire::Field("categories", &StatsResult::categories),
+      wire::Field("reviews", &StatsResult::reviews),
+      wire::Field("ratings", &StatsResult::ratings),
+      wire::Field("service_boots", &StatsResult::service_boots),
+      wire::Field("requests_served", &StatsResult::requests_served),
+      wire::Field("connections_active", &StatsResult::connections_active)
+          .Optional(),
+      wire::Field("connections_accepted", &StatsResult::connections_accepted)
+          .Optional(),
+      wire::Field("connection_requests_served",
+                  &StatsResult::connection_requests_served)
+          .Optional(),
+      wire::Field("shards", &StatsResult::shards)
+          .OmitUnlessPositive(&StatsResult::shards),
+      wire::Field("shard_service_boots", &StatsResult::shard_service_boots)
+          .OmitUnlessPositive(&StatsResult::shards),
+      wire::Field("shard_requests_served",
+                  &StatsResult::shard_requests_served)
+          .OmitUnlessPositive(&StatsResult::shards),
+      wire::Field("wal_records", &StatsResult::wal_records)
+          .OmitUnlessPositive(&StatsResult::segment_epoch),
+      wire::Field("wal_bytes", &StatsResult::wal_bytes)
+          .OmitUnlessPositive(&StatsResult::segment_epoch),
+      wire::Field("segment_epoch", &StatsResult::segment_epoch)
+          .OmitUnlessPositive(&StatsResult::segment_epoch),
+      wire::Field("segment_bytes", &StatsResult::segment_bytes)
+          .OmitUnlessPositive(&StatsResult::segment_epoch),
+      wire::Field("recovered_replayed_records",
+                  &StatsResult::recovered_replayed_records)
+          .OmitUnlessPositive(&StatsResult::segment_epoch));
 };
 
 /// \brief One counter or gauge in a metrics scrape.
@@ -369,6 +486,9 @@ struct MetricValue {
   int64_t value = 0;
 
   friend bool operator==(const MetricValue&, const MetricValue&) = default;
+  static constexpr auto kWire =
+      wire::Record(wire::Field("name", &MetricValue::name),
+                   wire::Field("value", &MetricValue::value));
 };
 
 /// \brief One latency histogram's summary in a metrics scrape. Latency
@@ -388,6 +508,16 @@ struct MetricHistogramValue {
 
   friend bool operator==(const MetricHistogramValue&,
                          const MetricHistogramValue&) = default;
+  static constexpr auto kWire =
+      wire::Record(wire::Field("name", &MetricHistogramValue::name),
+                   wire::Field("count", &MetricHistogramValue::count),
+                   wire::Field("sum", &MetricHistogramValue::sum),
+                   wire::Field("min", &MetricHistogramValue::min),
+                   wire::Field("max", &MetricHistogramValue::max),
+                   wire::Field("p50", &MetricHistogramValue::p50),
+                   wire::Field("p90", &MetricHistogramValue::p90),
+                   wire::Field("p99", &MetricHistogramValue::p99),
+                   wire::Field("p999", &MetricHistogramValue::p999));
 };
 
 /// \brief A point-in-time scrape of the answering frontend's telemetry:
@@ -403,6 +533,12 @@ struct MetricsResult {
 
   friend bool operator==(const MetricsResult&,
                          const MetricsResult&) = default;
+  static constexpr auto kWire = wire::Message(
+      "metrics",
+      wire::Field("snapshot_version", &MetricsResult::snapshot_version),
+      wire::Field("counters", &MetricsResult::counters),
+      wire::Field("gauges", &MetricsResult::gauges),
+      wire::Field("histograms", &MetricsResult::histograms));
 };
 
 /// \brief Replication roles reported by repl_status.
@@ -438,6 +574,14 @@ struct ReplFetchResult {
 
   friend bool operator==(const ReplFetchResult&,
                          const ReplFetchResult&) = default;
+  static constexpr auto kWire = wire::Message(
+      "repl_fetch", wire::Field("kind", &ReplFetchResult::kind),
+      wire::Field("base_version", &ReplFetchResult::base_version),
+      wire::Field("target_version", &ReplFetchResult::target_version),
+      wire::Field("source_version", &ReplFetchResult::source_version),
+      wire::Field("offset", &ReplFetchResult::offset),
+      wire::Field("total_bytes", &ReplFetchResult::total_bytes),
+      wire::Field("payload", &ReplFetchResult::payload).Hex());
 };
 
 /// \brief One replica as seen by the server answering repl_status (a
@@ -452,6 +596,12 @@ struct ReplReplicaInfo {
 
   friend bool operator==(const ReplReplicaInfo&,
                          const ReplReplicaInfo&) = default;
+  static constexpr auto kWire =
+      wire::Record(wire::Field("shard", &ReplReplicaInfo::shard),
+                   wire::Field("address", &ReplReplicaInfo::address),
+                   wire::Field("applied_version",
+                               &ReplReplicaInfo::applied_version),
+                   wire::Field("healthy", &ReplReplicaInfo::healthy));
 };
 
 /// \brief The answering server's replication role and progress.
@@ -470,6 +620,12 @@ struct ReplStatusResult {
 
   friend bool operator==(const ReplStatusResult&,
                          const ReplStatusResult&) = default;
+  static constexpr auto kWire = wire::Message(
+      "repl_status", wire::Field("role", &ReplStatusResult::role),
+      wire::Field("applied_version", &ReplStatusResult::applied_version),
+      wire::Field("source_version", &ReplStatusResult::source_version),
+      wire::Field("failovers", &ReplStatusResult::failovers),
+      wire::Field("replicas", &ReplStatusResult::replicas));
 };
 
 using ResponsePayload =

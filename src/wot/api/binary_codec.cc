@@ -1,7 +1,9 @@
 #include "wot/api/binary_codec.h"
 
+#include <type_traits>
 #include <utility>
 #include <variant>
+#include <vector>
 
 #include "wot/api/codec.h"
 #include "wot/io/byte_reader.h"
@@ -54,419 +56,59 @@ std::string FinishFrame(uint8_t code, uint8_t aux, int64_t id,
   return w.Take();
 }
 
-void EncodeRequestPayload(const RequestPayload& payload, ByteWriter* w) {
-  struct Visitor {
-    ByteWriter& w;
-    void operator()(const TrustQuery& q) {
-      w.PutString(q.source).PutString(q.target);
-    }
-    void operator()(const TopKQuery& q) {
-      w.PutString(q.source).PutI64(q.k);
-    }
-    void operator()(const ExplainQuery& q) {
-      w.PutString(q.source).PutString(q.target);
-    }
-    void operator()(const IngestUser& q) { w.PutString(q.name); }
-    void operator()(const IngestCategory& q) { w.PutString(q.name); }
-    void operator()(const IngestObject& q) {
-      w.PutString(q.category).PutString(q.name);
-    }
-    void operator()(const IngestReview& q) {
-      w.PutString(q.writer).PutI64(q.object);
-    }
-    void operator()(const IngestRating& q) {
-      w.PutString(q.rater).PutI64(q.review).PutDouble(q.value);
-    }
-    void operator()(const CommitRequest&) {}
-    void operator()(const StatsRequest&) {}
-    void operator()(const MetricsRequest&) {}
-    void operator()(const ReplFetchRequest& q) {
-      w.PutI64(q.shard).PutU64(q.applied_version).PutU64(q.offset);
-    }
-    void operator()(const ReplStatusRequest&) {}
-    void operator()(const ReplPromoteRequest&) {}
-  };
-  std::visit(Visitor{*w}, payload);
+// Writes \p value in the payload layout described in binary_codec.h.
+template <typename V>
+void PutValue(const V& value, ByteWriter* w) {
+  if constexpr (std::is_same_v<V, std::string>) {
+    w->PutString(value);
+  } else if constexpr (std::is_same_v<V, bool>) {
+    w->PutU8(value ? 1 : 0);
+  } else if constexpr (std::is_same_v<V, double>) {
+    w->PutDouble(value);
+  } else if constexpr (std::is_same_v<V, int64_t>) {
+    w->PutI64(value);
+  } else if constexpr (std::is_same_v<V, uint64_t>) {
+    w->PutU64(value);
+  } else if constexpr (std::is_same_v<V, uint32_t>) {
+    w->PutU32(value);
+  } else if constexpr (wire::kIsVector<V>) {
+    w->PutU32(static_cast<uint32_t>(value.size()));
+    for (const auto& item : value) PutValue(item, w);
+  } else {
+    wire::ForEachField(value, [&](const auto&, const auto& member) {
+      PutValue(member, w);
+    });
+  }
 }
 
-void EncodeResponsePayload(const ResponsePayload& payload, ByteWriter* w) {
-  struct Visitor {
-    ByteWriter& w;
-    void operator()(const std::monostate&) {}
-    void operator()(const TrustResult& r) {
-      w.PutDouble(r.trust)
-          .PutString(r.source_name)
-          .PutString(r.target_name)
-          .PutU64(r.snapshot_version);
+// ByteReader failures are sticky, so a short payload simply leaves the
+// reader failed; vectors stop at the first failed element.
+template <typename V>
+void GetValue(ByteReader* r, V* out) {
+  if constexpr (std::is_same_v<V, std::string>) {
+    *out = r->GetString();
+  } else if constexpr (std::is_same_v<V, bool>) {
+    *out = r->GetU8() != 0;
+  } else if constexpr (std::is_same_v<V, double>) {
+    *out = r->GetDouble();
+  } else if constexpr (std::is_same_v<V, int64_t>) {
+    *out = r->GetI64();
+  } else if constexpr (std::is_same_v<V, uint64_t>) {
+    *out = r->GetU64();
+  } else if constexpr (std::is_same_v<V, uint32_t>) {
+    *out = r->GetU32();
+  } else if constexpr (wire::kIsVector<V>) {
+    const uint32_t count = r->GetU32();
+    for (uint32_t i = 0; i < count && !r->failed(); ++i) {
+      typename V::value_type item{};
+      GetValue(r, &item);
+      out->push_back(std::move(item));
     }
-    void operator()(const TopKResult& r) {
-      w.PutString(r.source_name);
-      w.PutU32(static_cast<uint32_t>(r.trustees.size()));
-      for (const ScoredUserEntry& entry : r.trustees) {
-        w.PutU32(entry.user).PutString(entry.name).PutDouble(entry.score);
-      }
-      w.PutU64(r.snapshot_version);
-    }
-    void operator()(const ExplainResult& r) {
-      w.PutDouble(r.trust)
-          .PutDouble(r.affinity_sum)
-          .PutString(r.source_name)
-          .PutString(r.target_name);
-      w.PutU32(static_cast<uint32_t>(r.terms.size()));
-      for (const ExplainTermResult& term : r.terms) {
-        w.PutU32(term.category)
-            .PutString(term.category_name)
-            .PutDouble(term.affiliation)
-            .PutDouble(term.expertise)
-            .PutDouble(term.contribution);
-      }
-      w.PutU64(r.snapshot_version);
-    }
-    void operator()(const IngestResult& r) { w.PutI64(r.assigned_id); }
-    void operator()(const CommitResult& r) {
-      w.PutU64(r.snapshot_version)
-          .PutU8(r.published ? 1 : 0)
-          .PutI64(r.categories_recomputed)
-          .PutI64(r.affiliation_rows_recomputed)
-          .PutI64(r.postings_rebuilt);
-    }
-    void operator()(const StatsResult& r) {
-      w.PutU64(r.snapshot_version)
-          .PutI64(r.users)
-          .PutI64(r.categories)
-          .PutI64(r.reviews)
-          .PutI64(r.ratings)
-          .PutI64(r.service_boots)
-          .PutI64(r.requests_served)
-          .PutI64(r.connections_active)
-          .PutI64(r.connections_accepted)
-          .PutI64(r.connection_requests_served)
-          .PutI64(r.shards);
-      w.PutU32(static_cast<uint32_t>(r.shard_service_boots.size()));
-      for (int64_t boots : r.shard_service_boots) {
-        w.PutI64(boots);
-      }
-      w.PutU32(static_cast<uint32_t>(r.shard_requests_served.size()));
-      for (int64_t requests : r.shard_requests_served) {
-        w.PutI64(requests);
-      }
-      // Durability counters: the binary codec carries them
-      // unconditionally (field presence is fixed per frame version).
-      w.PutI64(r.wal_records)
-          .PutI64(r.wal_bytes)
-          .PutI64(r.segment_epoch)
-          .PutI64(r.segment_bytes)
-          .PutI64(r.recovered_replayed_records);
-    }
-    void operator()(const MetricsResult& r) {
-      w.PutU64(r.snapshot_version);
-      w.PutU32(static_cast<uint32_t>(r.counters.size()));
-      for (const MetricValue& counter : r.counters) {
-        w.PutString(counter.name).PutI64(counter.value);
-      }
-      w.PutU32(static_cast<uint32_t>(r.gauges.size()));
-      for (const MetricValue& gauge : r.gauges) {
-        w.PutString(gauge.name).PutI64(gauge.value);
-      }
-      w.PutU32(static_cast<uint32_t>(r.histograms.size()));
-      for (const MetricHistogramValue& histogram : r.histograms) {
-        w.PutString(histogram.name)
-            .PutI64(histogram.count)
-            .PutI64(histogram.sum)
-            .PutI64(histogram.min)
-            .PutI64(histogram.max)
-            .PutDouble(histogram.p50)
-            .PutDouble(histogram.p90)
-            .PutDouble(histogram.p99)
-            .PutDouble(histogram.p999);
-      }
-    }
-    void operator()(const ReplFetchResult& r) {
-      w.PutI64(r.kind)
-          .PutU64(r.base_version)
-          .PutU64(r.target_version)
-          .PutU64(r.source_version)
-          .PutU64(r.offset)
-          .PutU64(r.total_bytes)
-          .PutString(r.payload);
-    }
-    void operator()(const ReplStatusResult& r) {
-      w.PutI64(r.role)
-          .PutU64(r.applied_version)
-          .PutU64(r.source_version)
-          .PutI64(r.failovers);
-      w.PutU32(static_cast<uint32_t>(r.replicas.size()));
-      for (const ReplReplicaInfo& replica : r.replicas) {
-        w.PutI64(replica.shard)
-            .PutString(replica.address)
-            .PutU64(replica.applied_version)
-            .PutI64(replica.healthy);
-      }
-    }
-  };
-  std::visit(Visitor{*w}, payload);
-}
-
-ApiStatus DecodeRequestPayload(size_t method_index, ByteReader* r,
-                               Request* request) {
-  switch (method_index) {
-    case 0: {
-      TrustQuery q;
-      q.source = r->GetString();
-      q.target = r->GetString();
-      request->payload = std::move(q);
-      break;
-    }
-    case 1: {
-      TopKQuery q;
-      q.source = r->GetString();
-      q.k = r->GetI64();
-      request->payload = std::move(q);
-      break;
-    }
-    case 2: {
-      ExplainQuery q;
-      q.source = r->GetString();
-      q.target = r->GetString();
-      request->payload = std::move(q);
-      break;
-    }
-    case 3: {
-      IngestUser q;
-      q.name = r->GetString();
-      request->payload = std::move(q);
-      break;
-    }
-    case 4: {
-      IngestCategory q;
-      q.name = r->GetString();
-      request->payload = std::move(q);
-      break;
-    }
-    case 5: {
-      IngestObject q;
-      q.category = r->GetString();
-      q.name = r->GetString();
-      request->payload = std::move(q);
-      break;
-    }
-    case 6: {
-      IngestReview q;
-      q.writer = r->GetString();
-      q.object = r->GetI64();
-      request->payload = std::move(q);
-      break;
-    }
-    case 7: {
-      IngestRating q;
-      q.rater = r->GetString();
-      q.review = r->GetI64();
-      q.value = r->GetDouble();
-      request->payload = std::move(q);
-      break;
-    }
-    case 8:
-      request->payload = CommitRequest{};
-      break;
-    case 9:
-      request->payload = StatsRequest{};
-      break;
-    case 10:
-      request->payload = MetricsRequest{};
-      break;
-    case 11: {
-      ReplFetchRequest q;
-      q.shard = r->GetI64();
-      q.applied_version = r->GetU64();
-      q.offset = r->GetU64();
-      request->payload = q;
-      break;
-    }
-    case 12:
-      request->payload = ReplStatusRequest{};
-      break;
-    case 13:
-      request->payload = ReplPromoteRequest{};
-      break;
-    default:
-      return ApiStatus::Unimplemented(
-          "unknown method code " + std::to_string(method_index));
+  } else {
+    wire::ForEachField(*out, [&](const auto&, auto& member) {
+      GetValue(r, &member);
+    });
   }
-  if (!r->AtEnd()) {
-    return ApiStatus::InvalidArgument(
-        std::string("malformed '") +
-        MethodName(request->payload) + "' payload");
-  }
-  return ApiStatus::Ok();
-}
-
-ApiStatus DecodeResponsePayload(size_t result_index, ByteReader* r,
-                                Response* response) {
-  switch (result_index) {
-    case 0:
-      response->payload = std::monostate{};
-      break;
-    case 1: {
-      TrustResult result;
-      result.trust = r->GetDouble();
-      result.source_name = r->GetString();
-      result.target_name = r->GetString();
-      result.snapshot_version = r->GetU64();
-      response->payload = std::move(result);
-      break;
-    }
-    case 2: {
-      TopKResult result;
-      result.source_name = r->GetString();
-      uint32_t count = r->GetU32();
-      for (uint32_t i = 0; i < count && !r->failed(); ++i) {
-        ScoredUserEntry entry;
-        entry.user = r->GetU32();
-        entry.name = r->GetString();
-        entry.score = r->GetDouble();
-        result.trustees.push_back(std::move(entry));
-      }
-      result.snapshot_version = r->GetU64();
-      response->payload = std::move(result);
-      break;
-    }
-    case 3: {
-      ExplainResult result;
-      result.trust = r->GetDouble();
-      result.affinity_sum = r->GetDouble();
-      result.source_name = r->GetString();
-      result.target_name = r->GetString();
-      uint32_t count = r->GetU32();
-      for (uint32_t i = 0; i < count && !r->failed(); ++i) {
-        ExplainTermResult term;
-        term.category = r->GetU32();
-        term.category_name = r->GetString();
-        term.affiliation = r->GetDouble();
-        term.expertise = r->GetDouble();
-        term.contribution = r->GetDouble();
-        result.terms.push_back(std::move(term));
-      }
-      result.snapshot_version = r->GetU64();
-      response->payload = std::move(result);
-      break;
-    }
-    case 4: {
-      IngestResult result;
-      result.assigned_id = r->GetI64();
-      response->payload = result;
-      break;
-    }
-    case 5: {
-      CommitResult result;
-      result.snapshot_version = r->GetU64();
-      result.published = r->GetU8() != 0;
-      result.categories_recomputed = r->GetI64();
-      result.affiliation_rows_recomputed = r->GetI64();
-      result.postings_rebuilt = r->GetI64();
-      response->payload = result;
-      break;
-    }
-    case 6: {
-      StatsResult result;
-      result.snapshot_version = r->GetU64();
-      result.users = r->GetI64();
-      result.categories = r->GetI64();
-      result.reviews = r->GetI64();
-      result.ratings = r->GetI64();
-      result.service_boots = r->GetI64();
-      result.requests_served = r->GetI64();
-      result.connections_active = r->GetI64();
-      result.connections_accepted = r->GetI64();
-      result.connection_requests_served = r->GetI64();
-      result.shards = r->GetI64();
-      uint32_t boots = r->GetU32();
-      for (uint32_t i = 0; i < boots && !r->failed(); ++i) {
-        result.shard_service_boots.push_back(r->GetI64());
-      }
-      uint32_t requests = r->GetU32();
-      for (uint32_t i = 0; i < requests && !r->failed(); ++i) {
-        result.shard_requests_served.push_back(r->GetI64());
-      }
-      result.wal_records = r->GetI64();
-      result.wal_bytes = r->GetI64();
-      result.segment_epoch = r->GetI64();
-      result.segment_bytes = r->GetI64();
-      result.recovered_replayed_records = r->GetI64();
-      response->payload = std::move(result);
-      break;
-    }
-    case 7: {
-      MetricsResult result;
-      result.snapshot_version = r->GetU64();
-      uint32_t counters = r->GetU32();
-      for (uint32_t i = 0; i < counters && !r->failed(); ++i) {
-        MetricValue counter;
-        counter.name = r->GetString();
-        counter.value = r->GetI64();
-        result.counters.push_back(std::move(counter));
-      }
-      uint32_t gauges = r->GetU32();
-      for (uint32_t i = 0; i < gauges && !r->failed(); ++i) {
-        MetricValue gauge;
-        gauge.name = r->GetString();
-        gauge.value = r->GetI64();
-        result.gauges.push_back(std::move(gauge));
-      }
-      uint32_t histograms = r->GetU32();
-      for (uint32_t i = 0; i < histograms && !r->failed(); ++i) {
-        MetricHistogramValue histogram;
-        histogram.name = r->GetString();
-        histogram.count = r->GetI64();
-        histogram.sum = r->GetI64();
-        histogram.min = r->GetI64();
-        histogram.max = r->GetI64();
-        histogram.p50 = r->GetDouble();
-        histogram.p90 = r->GetDouble();
-        histogram.p99 = r->GetDouble();
-        histogram.p999 = r->GetDouble();
-        result.histograms.push_back(std::move(histogram));
-      }
-      response->payload = std::move(result);
-      break;
-    }
-    case 8: {
-      ReplFetchResult result;
-      result.kind = r->GetI64();
-      result.base_version = r->GetU64();
-      result.target_version = r->GetU64();
-      result.source_version = r->GetU64();
-      result.offset = r->GetU64();
-      result.total_bytes = r->GetU64();
-      result.payload = r->GetString();
-      response->payload = std::move(result);
-      break;
-    }
-    case 9: {
-      ReplStatusResult result;
-      result.role = r->GetI64();
-      result.applied_version = r->GetU64();
-      result.source_version = r->GetU64();
-      result.failovers = r->GetI64();
-      uint32_t count = r->GetU32();
-      for (uint32_t i = 0; i < count && !r->failed(); ++i) {
-        ReplReplicaInfo replica;
-        replica.shard = r->GetI64();
-        replica.address = r->GetString();
-        replica.applied_version = r->GetU64();
-        replica.healthy = r->GetI64();
-        result.replicas.push_back(std::move(replica));
-      }
-      response->payload = std::move(result);
-      break;
-    }
-    default:
-      return ApiStatus::InvalidArgument(
-          "unknown result type code " + std::to_string(result_index));
-  }
-  if (!r->AtEnd()) {
-    return ApiStatus::InvalidArgument("malformed result payload");
-  }
-  return ApiStatus::Ok();
 }
 
 // Shared header validation; fills *id with the salvaged correlator.
@@ -514,7 +156,8 @@ const char* WireProtocolName(WireProtocol protocol) {
 
 std::string EncodeRequestBinary(const Request& request) {
   ByteWriter payload;
-  EncodeRequestPayload(request.payload, &payload);
+  std::visit([&](const auto& params) { PutValue(params, &payload); },
+             request.payload);
   return FinishFrame(static_cast<uint8_t>(request.payload.index()),
                      /*aux=*/0, request.id, payload.Take());
 }
@@ -526,7 +169,8 @@ std::string EncodeResponseBinary(const Response& response) {
     payload.PutString(response.status.message);
   } else {
     result_type = static_cast<uint8_t>(response.payload.index());
-    EncodeResponsePayload(response.payload, &payload);
+    std::visit([&](const auto& result) { PutValue(result, &payload); },
+               response.payload);
   }
   return FinishFrame(static_cast<uint8_t>(response.status.code), result_type,
                      response.id, payload.Take());
@@ -540,9 +184,20 @@ ApiStatus DecodeRequestBinary(std::string_view frame, Request* request) {
   }
   // Byte 3 is reserved on requests and deliberately ignored so it can be
   // claimed by a future revision without breaking this decoder.
+  const uint8_t method = HeaderByte(frame, kCodeOffset);
   ByteReader reader(frame.substr(kBinaryHeaderSize));
-  return DecodeRequestPayload(HeaderByte(frame, kCodeOffset), &reader,
-                              request);
+  if (!wire::EmplaceAlternative(request->payload, method, [&](auto& params) {
+        GetValue(&reader, &params);
+      })) {
+    return ApiStatus::Unimplemented("unknown method code " +
+                                    std::to_string(method));
+  }
+  if (!reader.AtEnd()) {
+    return ApiStatus::InvalidArgument(std::string("malformed '") +
+                                      MethodName(request->payload) +
+                                      "' payload");
+  }
+  return ApiStatus::Ok();
 }
 
 ApiStatus DecodeResponseBinary(std::string_view frame, Response* response) {
@@ -565,8 +220,18 @@ ApiStatus DecodeResponseBinary(std::string_view frame, Response* response) {
     }
     return ApiStatus::Ok();  // the *frame* decoded fine
   }
-  return DecodeResponsePayload(HeaderByte(frame, kAuxOffset), &reader,
-                               response);
+  const uint8_t result_type = HeaderByte(frame, kAuxOffset);
+  if (!wire::EmplaceAlternative(response->payload, result_type,
+                                [&](auto& result) {
+                                  GetValue(&reader, &result);
+                                })) {
+    return ApiStatus::InvalidArgument("unknown result type code " +
+                                      std::to_string(result_type));
+  }
+  if (!reader.AtEnd()) {
+    return ApiStatus::InvalidArgument("malformed result payload");
+  }
+  return ApiStatus::Ok();
 }
 
 bool BinaryFrameAssembler::Append(std::string_view bytes) {

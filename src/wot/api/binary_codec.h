@@ -14,8 +14,9 @@
 //   12      4     payload length (bytes after the 16-byte header)
 //   16      n     payload
 //
-// The payload is the method/result struct's fields in declaration order:
-// integers as little-endian fixed width, doubles as IEEE-754 bits in a
+// The payload is the fields of the method/result struct's kWire table in
+// api.h, in declaration order (see wire_schema.h): integers as
+// little-endian fixed width, bools as one byte, doubles as IEEE-754 bits in a
 // little-endian u64, strings u32-length-prefixed, vectors a u32 count
 // followed by the elements. An error response carries the status message
 // string as its entire payload.

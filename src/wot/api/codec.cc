@@ -1,6 +1,11 @@
 #include "wot/api/codec.h"
 
+#include <concepts>
+#include <optional>
+#include <type_traits>
 #include <utility>
+#include <variant>
+#include <vector>
 
 #include "wot/io/json_parser.h"
 #include "wot/io/json_writer.h"
@@ -8,15 +13,6 @@
 namespace wot {
 namespace api {
 namespace {
-
-// Indexed by ResponsePayload variant alternative (monostate unnamed).
-const char* const kResultTypeNames[] = {
-    "", "trust", "topk", "explain", "ingest", "commit", "stats",
-    "metrics", "repl_fetch", "repl_status",
-};
-static_assert(sizeof(kResultTypeNames) / sizeof(kResultTypeNames[0]) ==
-                  std::variant_size_v<ResponsePayload>,
-              "result type table out of sync with ResponsePayload");
 
 // Replication artifact bytes are arbitrary binary; on the NDJSON wire
 // they travel hex-encoded (the v2 binary framing carries them raw).
@@ -50,203 +46,135 @@ bool HexDecode(std::string_view hex, std::string* out) {
   return true;
 }
 
-void EncodeParams(const RequestPayload& payload, JsonWriter* w) {
-  struct Visitor {
-    JsonWriter& w;
-    void operator()(const TrustQuery& q) {
-      w.Key("source").String(q.source).Key("target").String(q.target);
+template <typename Message>
+void WriteFields(const Message& message, JsonWriter* w);
+
+template <typename V>
+void WriteValue(const V& value, bool hex, JsonWriter* w) {
+  if constexpr (std::is_same_v<V, std::string>) {
+    if (hex) {
+      w->String(HexEncode(value));
+    } else {
+      w->String(value);
     }
-    void operator()(const TopKQuery& q) {
-      w.Key("source").String(q.source).Key("k").Int(q.k);
-    }
-    void operator()(const ExplainQuery& q) {
-      w.Key("source").String(q.source).Key("target").String(q.target);
-    }
-    void operator()(const IngestUser& q) { w.Key("name").String(q.name); }
-    void operator()(const IngestCategory& q) {
-      w.Key("name").String(q.name);
-    }
-    void operator()(const IngestObject& q) {
-      w.Key("category").String(q.category).Key("name").String(q.name);
-    }
-    void operator()(const IngestReview& q) {
-      w.Key("writer").String(q.writer).Key("object").Int(q.object);
-    }
-    void operator()(const IngestRating& q) {
-      w.Key("rater").String(q.rater).Key("review").Int(q.review);
-      w.Key("value").Double(q.value);
-    }
-    void operator()(const CommitRequest&) {}
-    void operator()(const StatsRequest&) {}
-    void operator()(const MetricsRequest&) {}
-    void operator()(const ReplFetchRequest& q) {
-      w.Key("shard").Int(q.shard);
-      w.Key("applied_version").UInt(q.applied_version);
-      w.Key("offset").UInt(q.offset);
-    }
-    void operator()(const ReplStatusRequest&) {}
-    void operator()(const ReplPromoteRequest&) {}
-  };
-  w->Key("params").BeginObject();
-  std::visit(Visitor{*w}, payload);
-  w->EndObject();
+  } else if constexpr (std::is_same_v<V, bool>) {
+    w->Bool(value);
+  } else if constexpr (std::is_same_v<V, double>) {
+    w->Double(value);
+  } else if constexpr (std::is_same_v<V, int64_t>) {
+    w->Int(value);
+  } else if constexpr (std::is_unsigned_v<V>) {
+    w->UInt(value);
+  } else if constexpr (wire::kIsVector<V>) {
+    w->BeginArray();
+    for (const auto& item : value) WriteValue(item, hex, w);
+    w->EndArray();
+  } else {
+    w->BeginObject();
+    WriteFields(value, w);
+    w->EndObject();
+  }
 }
 
-void EncodeResult(const ResponsePayload& payload, JsonWriter* w) {
-  struct Visitor {
-    JsonWriter& w;
-    void operator()(const std::monostate&) {}
-    void operator()(const TrustResult& r) {
-      w.Key("trust").Double(r.trust);
-      w.Key("source_name").String(r.source_name);
-      w.Key("target_name").String(r.target_name);
-      w.Key("snapshot_version").UInt(r.snapshot_version);
+template <typename Message>
+void WriteFields(const Message& message, JsonWriter* w) {
+  wire::ForEachField(message, [&](const auto& field, const auto& value) {
+    if (field.present_if != nullptr && message.*field.present_if <= 0) {
+      return;
     }
-    void operator()(const TopKResult& r) {
-      w.Key("source_name").String(r.source_name);
-      w.Key("trustees").BeginArray();
-      for (const ScoredUserEntry& entry : r.trustees) {
-        w.BeginObject();
-        w.Key("user").UInt(entry.user);
-        w.Key("name").String(entry.name);
-        w.Key("score").Double(entry.score);
-        w.EndObject();
+    w->Key(field.name);
+    WriteValue(value, field.hex, w);
+  });
+}
+
+template <typename Message>
+ApiStatus ReadFields(const JsonValue& object, Message* message);
+
+template <typename V>
+ApiStatus FromResult(Result<V> result, V* out) {
+  if (!result.ok()) return ApiStatus::FromStatus(result.status());
+  *out = std::move(result).ValueOrDie();
+  return ApiStatus::Ok();
+}
+
+ApiStatus ReadValue(const JsonValue& object, std::string_view key, bool hex,
+                    std::string* out) {
+  if (!hex) return FromResult(object.GetString(key), out);
+  Result<std::string> value = object.GetString(key);
+  if (!value.ok()) return ApiStatus::FromStatus(value.status());
+  if (!HexDecode(value.ValueOrDie(), out)) {
+    return ApiStatus::InvalidArgument("'" + std::string(key) +
+                                      "' must be a hex-encoded byte string");
+  }
+  return ApiStatus::Ok();
+}
+
+ApiStatus ReadValue(const JsonValue& object, std::string_view key, bool,
+                    double* out) {
+  return FromResult(object.GetDouble(key), out);
+}
+
+ApiStatus ReadValue(const JsonValue& object, std::string_view key, bool,
+                    bool* out) {
+  const JsonValue* value = object.Find(key);
+  if (value == nullptr || !value->is_bool()) {
+    return ApiStatus::InvalidArgument("missing '" + std::string(key) +
+                                      "' bool");
+  }
+  *out = value->bool_value();
+  return ApiStatus::Ok();
+}
+
+// Every integer travels as a JSON number read back through int64.
+template <std::integral I>
+ApiStatus ReadValue(const JsonValue& object, std::string_view key, bool,
+                    I* out) {
+  Result<int64_t> value = object.GetInt(key);
+  if (!value.ok()) return ApiStatus::FromStatus(value.status());
+  *out = static_cast<I>(value.ValueOrDie());
+  return ApiStatus::Ok();
+}
+
+template <typename E>
+ApiStatus ReadValue(const JsonValue& object, std::string_view key, bool,
+                    std::vector<E>* out) {
+  const JsonValue* array = object.Find(key);
+  if (array == nullptr) {
+    return ApiStatus::InvalidArgument("missing '" + std::string(key) +
+                                      "' array");
+  }
+  if (!array->is_array()) {
+    return ApiStatus::InvalidArgument("'" + std::string(key) +
+                                      "' must be an array");
+  }
+  for (const JsonValue& item : array->array()) {
+    E element{};
+    if constexpr (std::is_same_v<E, int64_t>) {
+      if (!item.is_number() || !item.number_is_int()) {
+        return ApiStatus::InvalidArgument("'" + std::string(key) +
+                                          "' must hold integers");
       }
-      w.EndArray();
-      w.Key("snapshot_version").UInt(r.snapshot_version);
+      element = item.int_value();
+    } else {
+      ApiStatus status = ReadFields(item, &element);
+      if (!status.ok()) return status;
     }
-    void operator()(const ExplainResult& r) {
-      w.Key("trust").Double(r.trust);
-      w.Key("affinity_sum").Double(r.affinity_sum);
-      w.Key("source_name").String(r.source_name);
-      w.Key("target_name").String(r.target_name);
-      w.Key("terms").BeginArray();
-      for (const ExplainTermResult& term : r.terms) {
-        w.BeginObject();
-        w.Key("category").UInt(term.category);
-        w.Key("category_name").String(term.category_name);
-        w.Key("affiliation").Double(term.affiliation);
-        w.Key("expertise").Double(term.expertise);
-        w.Key("contribution").Double(term.contribution);
-        w.EndObject();
-      }
-      w.EndArray();
-      w.Key("snapshot_version").UInt(r.snapshot_version);
-    }
-    void operator()(const IngestResult& r) {
-      w.Key("assigned_id").Int(r.assigned_id);
-    }
-    void operator()(const CommitResult& r) {
-      w.Key("snapshot_version").UInt(r.snapshot_version);
-      w.Key("published").Bool(r.published);
-      w.Key("categories_recomputed").Int(r.categories_recomputed);
-      w.Key("affiliation_rows_recomputed")
-          .Int(r.affiliation_rows_recomputed);
-      w.Key("postings_rebuilt").Int(r.postings_rebuilt);
-    }
-    void operator()(const StatsResult& r) {
-      w.Key("snapshot_version").UInt(r.snapshot_version);
-      w.Key("users").Int(r.users);
-      w.Key("categories").Int(r.categories);
-      w.Key("reviews").Int(r.reviews);
-      w.Key("ratings").Int(r.ratings);
-      w.Key("service_boots").Int(r.service_boots);
-      w.Key("requests_served").Int(r.requests_served);
-      w.Key("connections_active").Int(r.connections_active);
-      w.Key("connections_accepted").Int(r.connections_accepted);
-      w.Key("connection_requests_served")
-          .Int(r.connection_requests_served);
-      // Additive sharding fields: only present when a multi-shard router
-      // answered, so unsharded responses stay byte-identical to pre-
-      // sharding servers (and to a ShardRouter with one shard).
-      if (r.shards > 0) {
-        w.Key("shards").Int(r.shards);
-        w.Key("shard_service_boots").BeginArray();
-        for (int64_t boots : r.shard_service_boots) {
-          w.Int(boots);
-        }
-        w.EndArray();
-        w.Key("shard_requests_served").BeginArray();
-        for (int64_t requests : r.shard_requests_served) {
-          w.Int(requests);
-        }
-        w.EndArray();
-      }
-      // Additive durability fields: only present when a durable store is
-      // attached (segment_epoch >= 1 from the first boot segment on), so
-      // non-durable responses stay byte-identical to pre-storage servers.
-      if (r.segment_epoch > 0) {
-        w.Key("wal_records").Int(r.wal_records);
-        w.Key("wal_bytes").Int(r.wal_bytes);
-        w.Key("segment_epoch").Int(r.segment_epoch);
-        w.Key("segment_bytes").Int(r.segment_bytes);
-        w.Key("recovered_replayed_records")
-            .Int(r.recovered_replayed_records);
-      }
-    }
-    void operator()(const MetricsResult& r) {
-      w.Key("snapshot_version").UInt(r.snapshot_version);
-      w.Key("counters").BeginArray();
-      for (const MetricValue& counter : r.counters) {
-        w.BeginObject();
-        w.Key("name").String(counter.name);
-        w.Key("value").Int(counter.value);
-        w.EndObject();
-      }
-      w.EndArray();
-      w.Key("gauges").BeginArray();
-      for (const MetricValue& gauge : r.gauges) {
-        w.BeginObject();
-        w.Key("name").String(gauge.name);
-        w.Key("value").Int(gauge.value);
-        w.EndObject();
-      }
-      w.EndArray();
-      w.Key("histograms").BeginArray();
-      for (const MetricHistogramValue& histogram : r.histograms) {
-        w.BeginObject();
-        w.Key("name").String(histogram.name);
-        w.Key("count").Int(histogram.count);
-        w.Key("sum").Int(histogram.sum);
-        w.Key("min").Int(histogram.min);
-        w.Key("max").Int(histogram.max);
-        w.Key("p50").Double(histogram.p50);
-        w.Key("p90").Double(histogram.p90);
-        w.Key("p99").Double(histogram.p99);
-        w.Key("p999").Double(histogram.p999);
-        w.EndObject();
-      }
-      w.EndArray();
-    }
-    void operator()(const ReplFetchResult& r) {
-      w.Key("kind").Int(r.kind);
-      w.Key("base_version").UInt(r.base_version);
-      w.Key("target_version").UInt(r.target_version);
-      w.Key("source_version").UInt(r.source_version);
-      w.Key("offset").UInt(r.offset);
-      w.Key("total_bytes").UInt(r.total_bytes);
-      w.Key("payload").String(HexEncode(r.payload));
-    }
-    void operator()(const ReplStatusResult& r) {
-      w.Key("role").Int(r.role);
-      w.Key("applied_version").UInt(r.applied_version);
-      w.Key("source_version").UInt(r.source_version);
-      w.Key("failovers").Int(r.failovers);
-      w.Key("replicas").BeginArray();
-      for (const ReplReplicaInfo& replica : r.replicas) {
-        w.BeginObject();
-        w.Key("shard").Int(replica.shard);
-        w.Key("address").String(replica.address);
-        w.Key("applied_version").UInt(replica.applied_version);
-        w.Key("healthy").Int(replica.healthy);
-        w.EndObject();
-      }
-      w.EndArray();
-    }
-  };
-  w->Key("result").BeginObject();
-  std::visit(Visitor{*w}, payload);
-  w->EndObject();
+    out->push_back(std::move(element));
+  }
+  return ApiStatus::Ok();
+}
+
+// Reads fields in table order and stops at the first bad one; keys the
+// table does not name are ignored.
+template <typename Message>
+ApiStatus ReadFields(const JsonValue& object, Message* message) {
+  ApiStatus status;
+  wire::ForEachField(*message, [&](const auto& field, auto& value) {
+    if (!status.ok()) return;
+    if (field.optional && object.Find(field.name) == nullptr) return;
+    status = ReadValue(object, field.name, field.hex, &value);
+  });
+  return status;
 }
 
 // Pulls the optional envelope integers out of a (possibly partial) frame
@@ -274,403 +202,14 @@ ApiStatus DecodeParams(const std::string& method, const JsonValue& root,
   } else if (!params->is_object()) {
     return ApiStatus::InvalidArgument("'params' must be an object");
   }
-
-  // One lambda per field keeps the message shape uniform.
-  auto string_field = [&](std::string_view key, std::string* out) {
-    Result<std::string> value = params->GetString(key);
-    if (!value.ok()) return ApiStatus::FromStatus(value.status());
-    *out = std::move(value).ValueOrDie();
-    return ApiStatus::Ok();
-  };
-  auto int_field = [&](std::string_view key, int64_t* out) {
-    Result<int64_t> value = params->GetInt(key);
-    if (!value.ok()) return ApiStatus::FromStatus(value.status());
-    *out = value.ValueOrDie();
-    return ApiStatus::Ok();
-  };
-
-  ApiStatus status = ApiStatus::Ok();
-  if (method == "trust") {
-    TrustQuery q;
-    status = string_field("source", &q.source);
-    if (status.ok()) status = string_field("target", &q.target);
-    request->payload = std::move(q);
-  } else if (method == "topk") {
-    TopKQuery q;
-    status = string_field("source", &q.source);
-    if (status.ok() && params->Find("k") != nullptr) {
-      status = int_field("k", &q.k);
-    }
-    request->payload = std::move(q);
-  } else if (method == "explain") {
-    ExplainQuery q;
-    status = string_field("source", &q.source);
-    if (status.ok()) status = string_field("target", &q.target);
-    request->payload = std::move(q);
-  } else if (method == "ingest_user") {
-    IngestUser q;
-    status = string_field("name", &q.name);
-    request->payload = std::move(q);
-  } else if (method == "ingest_category") {
-    IngestCategory q;
-    status = string_field("name", &q.name);
-    request->payload = std::move(q);
-  } else if (method == "ingest_object") {
-    IngestObject q;
-    status = string_field("category", &q.category);
-    if (status.ok()) status = string_field("name", &q.name);
-    request->payload = std::move(q);
-  } else if (method == "ingest_review") {
-    IngestReview q;
-    status = string_field("writer", &q.writer);
-    if (status.ok()) status = int_field("object", &q.object);
-    request->payload = std::move(q);
-  } else if (method == "ingest_rating") {
-    IngestRating q;
-    status = string_field("rater", &q.rater);
-    if (status.ok()) status = int_field("review", &q.review);
-    if (status.ok()) {
-      Result<double> value = params->GetDouble("value");
-      if (!value.ok()) {
-        status = ApiStatus::FromStatus(value.status());
-      } else {
-        q.value = value.ValueOrDie();
-      }
-    }
-    request->payload = std::move(q);
-  } else if (method == "commit") {
-    request->payload = CommitRequest{};
-  } else if (method == "stats") {
-    request->payload = StatsRequest{};
-  } else if (method == "metrics") {
-    request->payload = MetricsRequest{};
-  } else if (method == "repl_fetch") {
-    ReplFetchRequest q;
-    if (params->Find("shard") != nullptr) {
-      status = int_field("shard", &q.shard);
-    }
-    auto optional_u64 = [&](std::string_view key, uint64_t* out) {
-      if (params->Find(key) == nullptr) return ApiStatus::Ok();
-      Result<int64_t> value = params->GetInt(key);
-      if (!value.ok()) return ApiStatus::FromStatus(value.status());
-      *out = static_cast<uint64_t>(value.ValueOrDie());
-      return ApiStatus::Ok();
-    };
-    if (status.ok()) status = optional_u64("applied_version", &q.applied_version);
-    if (status.ok()) status = optional_u64("offset", &q.offset);
-    request->payload = std::move(q);
-  } else if (method == "repl_status") {
-    request->payload = ReplStatusRequest{};
-  } else if (method == "repl_promote") {
-    request->payload = ReplPromoteRequest{};
-  } else {
+  std::optional<size_t> index = wire::IndexOfName<RequestPayload>(method);
+  if (!index.has_value()) {
     return ApiStatus::Unimplemented("unknown method '" + method + "'");
   }
-  return status;
-}
-
-ApiStatus DecodeResultPayload(const std::string& result_type,
-                              const JsonValue& result, Response* response) {
-  auto u64_field = [&](std::string_view key, uint64_t* out) {
-    Result<int64_t> value = result.GetInt(key);
-    if (!value.ok()) return ApiStatus::FromStatus(value.status());
-    *out = static_cast<uint64_t>(value.ValueOrDie());
-    return ApiStatus::Ok();
-  };
-
-  auto name_field = [&](std::string_view key, std::string* out) {
-    Result<std::string> value = result.GetString(key);
-    if (!value.ok()) return ApiStatus::FromStatus(value.status());
-    *out = std::move(value).ValueOrDie();
-    return ApiStatus::Ok();
-  };
-
-  ApiStatus status = ApiStatus::Ok();
-  if (result_type == "trust") {
-    TrustResult r;
-    Result<double> trust = result.GetDouble("trust");
-    if (!trust.ok()) return ApiStatus::FromStatus(trust.status());
-    r.trust = trust.ValueOrDie();
-    status = name_field("source_name", &r.source_name);
-    if (!status.ok()) return status;
-    status = name_field("target_name", &r.target_name);
-    if (!status.ok()) return status;
-    status = u64_field("snapshot_version", &r.snapshot_version);
-    response->payload = std::move(r);
-  } else if (result_type == "topk") {
-    TopKResult r;
-    status = name_field("source_name", &r.source_name);
-    if (!status.ok()) return status;
-    const JsonValue* trustees = result.Find("trustees");
-    if (trustees == nullptr || !trustees->is_array()) {
-      return ApiStatus::InvalidArgument("missing 'trustees' array");
-    }
-    for (const JsonValue& item : trustees->array()) {
-      ScoredUserEntry entry;
-      Result<int64_t> user = item.GetInt("user");
-      if (!user.ok()) return ApiStatus::FromStatus(user.status());
-      entry.user = static_cast<uint32_t>(user.ValueOrDie());
-      Result<std::string> name = item.GetString("name");
-      if (!name.ok()) return ApiStatus::FromStatus(name.status());
-      entry.name = std::move(name).ValueOrDie();
-      Result<double> score = item.GetDouble("score");
-      if (!score.ok()) return ApiStatus::FromStatus(score.status());
-      entry.score = score.ValueOrDie();
-      r.trustees.push_back(std::move(entry));
-    }
-    status = u64_field("snapshot_version", &r.snapshot_version);
-    response->payload = std::move(r);
-  } else if (result_type == "explain") {
-    ExplainResult r;
-    Result<double> trust = result.GetDouble("trust");
-    if (!trust.ok()) return ApiStatus::FromStatus(trust.status());
-    r.trust = trust.ValueOrDie();
-    Result<double> affinity = result.GetDouble("affinity_sum");
-    if (!affinity.ok()) return ApiStatus::FromStatus(affinity.status());
-    r.affinity_sum = affinity.ValueOrDie();
-    status = name_field("source_name", &r.source_name);
-    if (!status.ok()) return status;
-    status = name_field("target_name", &r.target_name);
-    if (!status.ok()) return status;
-    const JsonValue* terms = result.Find("terms");
-    if (terms == nullptr || !terms->is_array()) {
-      return ApiStatus::InvalidArgument("missing 'terms' array");
-    }
-    for (const JsonValue& item : terms->array()) {
-      ExplainTermResult term;
-      Result<int64_t> category = item.GetInt("category");
-      if (!category.ok()) return ApiStatus::FromStatus(category.status());
-      term.category = static_cast<uint32_t>(category.ValueOrDie());
-      Result<std::string> name = item.GetString("category_name");
-      if (!name.ok()) return ApiStatus::FromStatus(name.status());
-      term.category_name = std::move(name).ValueOrDie();
-      Result<double> affiliation = item.GetDouble("affiliation");
-      if (!affiliation.ok()) {
-        return ApiStatus::FromStatus(affiliation.status());
-      }
-      term.affiliation = affiliation.ValueOrDie();
-      Result<double> expertise = item.GetDouble("expertise");
-      if (!expertise.ok()) return ApiStatus::FromStatus(expertise.status());
-      term.expertise = expertise.ValueOrDie();
-      Result<double> contribution = item.GetDouble("contribution");
-      if (!contribution.ok()) {
-        return ApiStatus::FromStatus(contribution.status());
-      }
-      term.contribution = contribution.ValueOrDie();
-      r.terms.push_back(std::move(term));
-    }
-    status = u64_field("snapshot_version", &r.snapshot_version);
-    response->payload = std::move(r);
-  } else if (result_type == "ingest") {
-    IngestResult r;
-    Result<int64_t> id = result.GetInt("assigned_id");
-    if (!id.ok()) return ApiStatus::FromStatus(id.status());
-    r.assigned_id = id.ValueOrDie();
-    response->payload = r;
-  } else if (result_type == "commit") {
-    CommitResult r;
-    status = u64_field("snapshot_version", &r.snapshot_version);
-    if (!status.ok()) return status;
-    const JsonValue* published = result.Find("published");
-    if (published == nullptr || !published->is_bool()) {
-      return ApiStatus::InvalidArgument("missing 'published' bool");
-    }
-    r.published = published->bool_value();
-    Result<int64_t> categories = result.GetInt("categories_recomputed");
-    if (!categories.ok()) {
-      return ApiStatus::FromStatus(categories.status());
-    }
-    r.categories_recomputed = categories.ValueOrDie();
-    Result<int64_t> rows = result.GetInt("affiliation_rows_recomputed");
-    if (!rows.ok()) return ApiStatus::FromStatus(rows.status());
-    r.affiliation_rows_recomputed = rows.ValueOrDie();
-    Result<int64_t> postings = result.GetInt("postings_rebuilt");
-    if (!postings.ok()) return ApiStatus::FromStatus(postings.status());
-    r.postings_rebuilt = postings.ValueOrDie();
-    response->payload = r;
-  } else if (result_type == "stats") {
-    StatsResult r;
-    status = u64_field("snapshot_version", &r.snapshot_version);
-    if (!status.ok()) return status;
-    struct IntField {
-      const char* key;
-      int64_t* target;
-    };
-    for (IntField field : {IntField{"users", &r.users},
-                           IntField{"categories", &r.categories},
-                           IntField{"reviews", &r.reviews},
-                           IntField{"ratings", &r.ratings},
-                           IntField{"service_boots", &r.service_boots},
-                           IntField{"requests_served",
-                                    &r.requests_served}}) {
-      Result<int64_t> value = result.GetInt(field.key);
-      if (!value.ok()) return ApiStatus::FromStatus(value.status());
-      *field.target = value.ValueOrDie();
-    }
-    // Post-v1.0 additive fields: absent (older server) decodes as 0, per
-    // the wire spec's evolution rules.
-    for (IntField field :
-         {IntField{"connections_active", &r.connections_active},
-          IntField{"connections_accepted", &r.connections_accepted},
-          IntField{"connection_requests_served",
-                   &r.connection_requests_served},
-          IntField{"shards", &r.shards},
-          IntField{"wal_records", &r.wal_records},
-          IntField{"wal_bytes", &r.wal_bytes},
-          IntField{"segment_epoch", &r.segment_epoch},
-          IntField{"segment_bytes", &r.segment_bytes},
-          IntField{"recovered_replayed_records",
-                   &r.recovered_replayed_records}}) {
-      if (result.Find(field.key) != nullptr) {
-        Result<int64_t> value = result.GetInt(field.key);
-        if (!value.ok()) return ApiStatus::FromStatus(value.status());
-        *field.target = value.ValueOrDie();
-      }
-    }
-    struct ArrayField {
-      const char* key;
-      std::vector<int64_t>* target;
-    };
-    for (ArrayField field :
-         {ArrayField{"shard_service_boots", &r.shard_service_boots},
-          ArrayField{"shard_requests_served",
-                     &r.shard_requests_served}}) {
-      const JsonValue* array = result.Find(field.key);
-      if (array == nullptr) continue;  // unsharded server
-      if (!array->is_array()) {
-        return ApiStatus::InvalidArgument(std::string("'") + field.key +
-                                          "' must be an array");
-      }
-      for (const JsonValue& item : array->array()) {
-        if (!item.is_number() || !item.number_is_int()) {
-          return ApiStatus::InvalidArgument(std::string("'") + field.key +
-                                            "' must hold integers");
-        }
-        field.target->push_back(item.int_value());
-      }
-    }
-    response->payload = r;
-  } else if (result_type == "metrics") {
-    MetricsResult r;
-    status = u64_field("snapshot_version", &r.snapshot_version);
-    if (!status.ok()) return status;
-    struct ValueArray {
-      const char* key;
-      std::vector<MetricValue>* target;
-    };
-    for (ValueArray field : {ValueArray{"counters", &r.counters},
-                             ValueArray{"gauges", &r.gauges}}) {
-      const JsonValue* array = result.Find(field.key);
-      if (array == nullptr || !array->is_array()) {
-        return ApiStatus::InvalidArgument(std::string("missing '") +
-                                          field.key + "' array");
-      }
-      for (const JsonValue& item : array->array()) {
-        MetricValue metric;
-        Result<std::string> name = item.GetString("name");
-        if (!name.ok()) return ApiStatus::FromStatus(name.status());
-        metric.name = std::move(name).ValueOrDie();
-        Result<int64_t> value = item.GetInt("value");
-        if (!value.ok()) return ApiStatus::FromStatus(value.status());
-        metric.value = value.ValueOrDie();
-        field.target->push_back(std::move(metric));
-      }
-    }
-    const JsonValue* histograms = result.Find("histograms");
-    if (histograms == nullptr || !histograms->is_array()) {
-      return ApiStatus::InvalidArgument("missing 'histograms' array");
-    }
-    for (const JsonValue& item : histograms->array()) {
-      MetricHistogramValue histogram;
-      Result<std::string> name = item.GetString("name");
-      if (!name.ok()) return ApiStatus::FromStatus(name.status());
-      histogram.name = std::move(name).ValueOrDie();
-      struct IntField {
-        const char* key;
-        int64_t* target;
-      };
-      for (IntField field : {IntField{"count", &histogram.count},
-                             IntField{"sum", &histogram.sum},
-                             IntField{"min", &histogram.min},
-                             IntField{"max", &histogram.max}}) {
-        Result<int64_t> value = item.GetInt(field.key);
-        if (!value.ok()) return ApiStatus::FromStatus(value.status());
-        *field.target = value.ValueOrDie();
-      }
-      struct DoubleField {
-        const char* key;
-        double* target;
-      };
-      for (DoubleField field : {DoubleField{"p50", &histogram.p50},
-                                DoubleField{"p90", &histogram.p90},
-                                DoubleField{"p99", &histogram.p99},
-                                DoubleField{"p999", &histogram.p999}}) {
-        Result<double> value = item.GetDouble(field.key);
-        if (!value.ok()) return ApiStatus::FromStatus(value.status());
-        *field.target = value.ValueOrDie();
-      }
-      r.histograms.push_back(std::move(histogram));
-    }
-    response->payload = std::move(r);
-  } else if (result_type == "repl_fetch") {
-    ReplFetchResult r;
-    Result<int64_t> kind = result.GetInt("kind");
-    if (!kind.ok()) return ApiStatus::FromStatus(kind.status());
-    r.kind = kind.ValueOrDie();
-    for (auto [key, target] :
-         {std::pair<const char*, uint64_t*>{"base_version",
-                                            &r.base_version},
-          {"target_version", &r.target_version},
-          {"source_version", &r.source_version},
-          {"offset", &r.offset},
-          {"total_bytes", &r.total_bytes}}) {
-      status = u64_field(key, target);
-      if (!status.ok()) return status;
-    }
-    Result<std::string> payload = result.GetString("payload");
-    if (!payload.ok()) return ApiStatus::FromStatus(payload.status());
-    if (!HexDecode(payload.ValueOrDie(), &r.payload)) {
-      return ApiStatus::InvalidArgument(
-          "'payload' must be a hex-encoded byte string");
-    }
-    response->payload = std::move(r);
-  } else if (result_type == "repl_status") {
-    ReplStatusResult r;
-    Result<int64_t> role = result.GetInt("role");
-    if (!role.ok()) return ApiStatus::FromStatus(role.status());
-    r.role = role.ValueOrDie();
-    status = u64_field("applied_version", &r.applied_version);
-    if (!status.ok()) return status;
-    status = u64_field("source_version", &r.source_version);
-    if (!status.ok()) return status;
-    Result<int64_t> failovers = result.GetInt("failovers");
-    if (!failovers.ok()) return ApiStatus::FromStatus(failovers.status());
-    r.failovers = failovers.ValueOrDie();
-    const JsonValue* replicas = result.Find("replicas");
-    if (replicas == nullptr || !replicas->is_array()) {
-      return ApiStatus::InvalidArgument("missing 'replicas' array");
-    }
-    for (const JsonValue& item : replicas->array()) {
-      ReplReplicaInfo info;
-      Result<int64_t> shard = item.GetInt("shard");
-      if (!shard.ok()) return ApiStatus::FromStatus(shard.status());
-      info.shard = shard.ValueOrDie();
-      Result<std::string> address = item.GetString("address");
-      if (!address.ok()) return ApiStatus::FromStatus(address.status());
-      info.address = std::move(address).ValueOrDie();
-      Result<int64_t> applied = item.GetInt("applied_version");
-      if (!applied.ok()) return ApiStatus::FromStatus(applied.status());
-      info.applied_version = static_cast<uint64_t>(applied.ValueOrDie());
-      Result<int64_t> healthy = item.GetInt("healthy");
-      if (!healthy.ok()) return ApiStatus::FromStatus(healthy.status());
-      info.healthy = healthy.ValueOrDie();
-      r.replicas.push_back(std::move(info));
-    }
-    response->payload = std::move(r);
-  } else {
-    return ApiStatus::InvalidArgument("unknown result_type '" +
-                                      result_type + "'");
-  }
+  ApiStatus status;
+  wire::EmplaceAlternative(request->payload, *index, [&](auto& message) {
+    status = ReadFields(*params, &message);
+  });
   return status;
 }
 
@@ -682,7 +221,10 @@ std::string EncodeRequest(const Request& request) {
   w.Key("v").Int(request.version);
   w.Key("id").Int(request.id);
   w.Key("method").String(MethodName(request.payload));
-  EncodeParams(request.payload, &w);
+  w.Key("params").BeginObject();
+  std::visit([&](const auto& params) { WriteFields(params, &w); },
+             request.payload);
+  w.EndObject();
   w.EndObject();
   return w.str();
 }
@@ -696,8 +238,12 @@ std::string EncodeResponse(const Response& response) {
   if (!response.status.ok()) {
     w.Key("error").String(response.status.message);
   } else if (response.payload.index() != 0) {
-    w.Key("result_type").String(kResultTypeNames[response.payload.index()]);
-    EncodeResult(response.payload, &w);
+    w.Key("result_type")
+        .String(wire::kNames<ResponsePayload>[response.payload.index()]);
+    w.Key("result").BeginObject();
+    std::visit([&](const auto& result) { WriteFields(result, &w); },
+               response.payload);
+    w.EndObject();
   }
   w.EndObject();
   return w.str();
@@ -783,8 +329,17 @@ ApiStatus DecodeResponse(std::string_view line, Response* response) {
   if (result == nullptr || !result->is_object()) {
     return ApiStatus::InvalidArgument("missing 'result' object");
   }
-  return DecodeResultPayload(result_type->string_value(), *result,
-                             response);
+  std::optional<size_t> index =
+      wire::IndexOfName<ResponsePayload>(result_type->string_value());
+  if (!index.has_value()) {
+    return ApiStatus::InvalidArgument("unknown result_type '" +
+                                      result_type->string_value() + "'");
+  }
+  ApiStatus status;
+  wire::EmplaceAlternative(response->payload, *index, [&](auto& message) {
+    status = ReadFields(*result, &message);
+  });
+  return status;
 }
 
 }  // namespace api

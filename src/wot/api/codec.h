@@ -8,6 +8,9 @@
 //              "snapshot_version":3}}
 //   error:    {"v":1,"id":7,"status":"NOT_FOUND","error":"no user ..."}
 //
+// Params and result keys come from each message's kWire table in api.h
+// (see wire_schema.h), the same table the v2 binary codec walks.
+//
 // Encoding is deterministic (fixed key order, shortest round-trip doubles)
 // so a response stream can be byte-diffed in tests. Decoding is strict and
 // total: any malformed frame comes back as a non-OK ApiStatus, never a

@@ -207,7 +207,9 @@ std::string Frontend::DispatchFrame(std::string_view frame,
 
 Response ServiceFrontend::DispatchPayload(
     const Request& request, const ConnectionContext& connection) {
-  struct Visitor {
+  struct Visitor : EnvelopeAnsweredArm {
+    using EnvelopeAnsweredArm::operator();
+
     ServiceFrontend& frontend;
     const ConnectionContext& connection;
 
@@ -398,33 +400,9 @@ Response ServiceFrontend::DispatchPayload(
       response.payload = result;
       return response;
     }
-
-    Response operator()(const MetricsRequest&) {
-      // Unreachable: the base envelope answers metrics before
-      // DispatchPayload. Kept for variant exhaustiveness.
-      return ErrorResponse(ApiStatus::Internal(
-          "metrics request reached DispatchPayload"));
-    }
-
-    Response operator()(const ReplFetchRequest&) {
-      // Unreachable: the base envelope routes replication methods to the
-      // attached ReplicationHandler. Kept for variant exhaustiveness.
-      return ErrorResponse(ApiStatus::Internal(
-          "repl_fetch request reached DispatchPayload"));
-    }
-
-    Response operator()(const ReplStatusRequest&) {
-      return ErrorResponse(ApiStatus::Internal(
-          "repl_status request reached DispatchPayload"));
-    }
-
-    Response operator()(const ReplPromoteRequest&) {
-      return ErrorResponse(ApiStatus::Internal(
-          "repl_promote request reached DispatchPayload"));
-    }
   };
 
-  return std::visit(Visitor{*this, connection}, request.payload);
+  return std::visit(Visitor{{}, *this, connection}, request.payload);
 }
 
 }  // namespace api

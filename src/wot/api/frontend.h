@@ -75,6 +75,20 @@ inline Response ErrorResponse(ApiStatus status) {
   return response;
 }
 
+/// \brief Base of every DispatchPayload visitor. Its one overload covers
+/// every method marked wire::EnvelopeAnswered (metrics and the
+/// replication methods): the Frontend envelope answers those itself, so
+/// they never reach DispatchPayload. A data method without a handler arm
+/// still fails to compile. Visitors inherit it with
+/// `using EnvelopeAnsweredArm::operator();`.
+struct EnvelopeAnsweredArm {
+  template <wire::EnvelopeAnswered Q>
+  Response operator()(const Q&) const {
+    return ErrorResponse(ApiStatus::Internal(
+        std::string(Q::kWire.name) + " request reached DispatchPayload"));
+  }
+};
+
 /// \brief Serving counters of one frontend (returned by the stats method).
 struct FrontendStats {
   /// Boots of the backing service(s) observed by this frontend. Stays at
@@ -210,9 +224,8 @@ class Frontend {
 
   /// \brief Executes one payload. Called only with the supported protocol
   /// version; must be thread-safe. The base fills version/id and clears
-  /// the payload of error responses afterwards. Never sees a
-  /// MetricsRequest (the envelope answers those), but visitors still
-  /// carry the handler for variant exhaustiveness.
+  /// the payload of error responses afterwards. Never sees an
+  /// envelope-answered method (see EnvelopeAnsweredArm).
   virtual Response DispatchPayload(const Request& request,
                                    const ConnectionContext& connection) = 0;
 

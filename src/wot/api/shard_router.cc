@@ -78,7 +78,10 @@ void ShardRouter::InitTelemetry() {
   quorum_wait_ns_ =
       metrics_registry()->histogram("router.quorum_wait_ns");
   replica_reads_ = metrics_registry()->counter("router.replica_reads");
-  for (const std::unique_ptr<Shard>& shard : shards_) {
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    Shard* shard = shards_[s].get();
+    shard->dispatches = metrics_registry()->counter(
+        "router.shard_requests.s" + std::to_string(s));
     AddMetricsSource(shard->service->metrics_registry());
     shard->read_floor.store(shard->service->Snapshot()->version(),
                             std::memory_order_release);
@@ -278,7 +281,7 @@ ShardRouter::SnapshotSet ShardRouter::LoadSnapshots() const {
 }
 
 ServiceFrontend* ShardRouter::Touch(size_t shard) {
-  shards_[shard]->dispatches.fetch_add(1, std::memory_order_relaxed);
+  shards_[shard]->dispatches->Increment();
   return shards_[shard]->frontend.get();
 }
 
@@ -421,7 +424,9 @@ Response ShardRouter::RouteTrustLike(const Request& request,
 
 Response ShardRouter::DispatchPayload(const Request& request,
                                       const ConnectionContext& connection) {
-  struct Visitor {
+  struct Visitor : EnvelopeAnsweredArm {
+    using EnvelopeAnsweredArm::operator();
+
     ShardRouter& router;
     const Request& request;
     const ConnectionContext& connection;
@@ -823,8 +828,7 @@ Response ShardRouter::DispatchPayload(const Request& request,
         for (size_t s = 0; s < num_shards; ++s) {
           result.shard_service_boots.push_back(1);
           result.shard_requests_served.push_back(
-              router.shards_[s]->dispatches.load(
-                  std::memory_order_relaxed));
+              router.shards_[s]->dispatches->Value());
         }
       }
       // Durability aggregation: counters sum across shards; the epoch is
@@ -858,33 +862,9 @@ Response ShardRouter::DispatchPayload(const Request& request,
       response.payload = std::move(result);
       return response;
     }
-
-    Response operator()(const MetricsRequest&) {
-      // Unreachable: the base envelope answers metrics before
-      // DispatchPayload. Kept for variant exhaustiveness.
-      return ErrorResponse(ApiStatus::Internal(
-          "metrics request reached DispatchPayload"));
-    }
-
-    Response operator()(const ReplFetchRequest&) {
-      // Unreachable: the base envelope routes replication methods to the
-      // attached ReplicationHandler. Kept for variant exhaustiveness.
-      return ErrorResponse(ApiStatus::Internal(
-          "repl_fetch request reached DispatchPayload"));
-    }
-
-    Response operator()(const ReplStatusRequest&) {
-      return ErrorResponse(ApiStatus::Internal(
-          "repl_status request reached DispatchPayload"));
-    }
-
-    Response operator()(const ReplPromoteRequest&) {
-      return ErrorResponse(ApiStatus::Internal(
-          "repl_promote request reached DispatchPayload"));
-    }
   };
 
-  return std::visit(Visitor{*this, request, connection}, request.payload);
+  return std::visit(Visitor{{}, *this, request, connection}, request.payload);
 }
 
 }  // namespace api

@@ -178,8 +178,9 @@ class ShardRouter : public Frontend, private ReplicationHandler {
     std::unique_ptr<TrustService> service;
     std::unique_ptr<ServiceFrontend> frontend;
     /// Requests the router dispatched to this shard (fan-outs count on
-    /// every shard touched).
-    std::atomic<int64_t> dispatches{0};
+    /// every shard touched): router.shard_requests.s<shard>, which the
+    /// stats method reports as shard_requests_served.
+    telemetry::Counter* dispatches = nullptr;
     /// Replicas of this shard (append-only, fixed before serving).
     std::vector<std::unique_ptr<ReplicaSlot>> replicas;
     /// The shard-local snapshot version the last router epoch bump

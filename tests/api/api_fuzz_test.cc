@@ -11,6 +11,8 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "testing/fixtures.h"
@@ -67,24 +69,40 @@ class ApiFuzzTest : public ::testing::Test {
   std::unique_ptr<ShardRouter> router_;
 };
 
-// Valid frames to mutate: one per method plus edge values.
+// One populated request per RequestPayload alternative, filled through
+// the method's field table: the n-th field gets "u<n>" (a TinyCommunity
+// user name), n or 0.8. A new method is fuzzed without editing this file.
+std::vector<Request> SeedRequests() {
+  std::vector<Request> requests;
+  for (size_t i = 0; i < std::variant_size_v<RequestPayload>; ++i) {
+    Request request;
+    request.id = static_cast<int64_t>(i) + 1;
+    wire::EmplaceAlternative(request.payload, i, [](auto& params) {
+      int n = 0;
+      wire::ForEachField(params, [&n](const auto&, auto& value) {
+        using V = std::remove_reference_t<decltype(value)>;
+        if constexpr (std::is_same_v<V, std::string>) {
+          value = "u" + std::to_string(n);
+        } else if constexpr (std::is_same_v<V, double>) {
+          value = 0.8;
+        } else {
+          value = static_cast<V>(n);
+        }
+        ++n;
+      });
+    });
+    requests.push_back(std::move(request));
+  }
+  return requests;
+}
+
+// Valid frames to mutate: one per method.
 std::vector<std::string> SeedFrames() {
-  return {
-      R"({"v":1,"id":1,"method":"trust","params":{"source":"u0","target":"u1"}})",
-      R"({"v":1,"id":2,"method":"topk","params":{"source":"0","k":3}})",
-      R"({"v":1,"id":3,"method":"explain","params":{"source":"u2","target":"u0"}})",
-      R"({"v":1,"id":4,"method":"ingest_user","params":{"name":"fuzz"}})",
-      R"({"v":1,"id":5,"method":"ingest_category","params":{"name":"c"}})",
-      R"({"v":1,"id":6,"method":"ingest_object","params":{"category":"movies","name":"o"}})",
-      R"({"v":1,"id":7,"method":"ingest_review","params":{"writer":"u3","object":0}})",
-      R"({"v":1,"id":8,"method":"ingest_rating","params":{"rater":"u3","review":1,"value":0.8}})",
-      R"({"v":1,"id":9,"method":"commit"})",
-      R"({"v":1,"id":10,"method":"stats","params":{}})",
-      R"({"v":1,"id":11,"method":"metrics"})",
-      R"({"v":1,"id":12,"method":"repl_fetch","params":{"shard":0,"applied_version":3,"offset":0}})",
-      R"({"v":1,"id":13,"method":"repl_status"})",
-      R"({"v":1,"id":14,"method":"repl_promote"})",
-  };
+  std::vector<std::string> frames;
+  for (const Request& request : SeedRequests()) {
+    frames.push_back(EncodeRequest(request));
+  }
+  return frames;
 }
 
 TEST_F(ApiFuzzTest, HandCraftedHostileLines) {
@@ -200,19 +218,7 @@ TEST_F(ApiFuzzTest, PureRandomBytes) {
 // One valid binary frame per method, to mutate.
 std::vector<std::string> SeedBinaryFrames() {
   std::vector<std::string> frames;
-  int64_t id = 1;
-  for (RequestPayload payload : std::initializer_list<RequestPayload>{
-           TrustQuery{"u0", "u1"}, TopKQuery{"0", 3},
-           ExplainQuery{"u2", "u0"}, IngestUser{"fuzz"},
-           IngestCategory{"c"}, IngestObject{"movies", "o"},
-           IngestReview{"u3", 0}, IngestRating{"u3", 1, 0.8},
-           CommitRequest{}, StatsRequest{}, MetricsRequest{},
-           ReplFetchRequest{/*shard=*/0, /*applied_version=*/3,
-                            /*offset=*/0},
-           ReplStatusRequest{}, ReplPromoteRequest{}}) {
-    Request request;
-    request.id = id++;
-    request.payload = std::move(payload);
+  for (const Request& request : SeedRequests()) {
     frames.push_back(EncodeRequestBinary(request));
   }
   return frames;

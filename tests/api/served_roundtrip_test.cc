@@ -30,6 +30,7 @@
 #include <variant>
 #include <vector>
 
+#include "testing/child_process.h"
 #include "wot/api/client.h"
 #include "wot/api/codec.h"
 #include "wot/api/frontend.h"
@@ -278,6 +279,7 @@ TEST(ServedRoundTripTest, SocketModeServesSequentialConnections) {
           static_cast<char*>(nullptr));
     _exit(127);
   }
+  wot::testing::ChildProcess served(pid);
 
   // Reference service for expected values.
   Dataset dataset = ServedDataset();
@@ -324,9 +326,7 @@ TEST(ServedRoundTripTest, SocketModeServesSequentialConnections) {
                 .service_boots,
             1);
 
-  kill(pid, SIGTERM);
-  int wait_status = 0;
-  waitpid(pid, &wait_status, 0);
+  served.Stop(SIGTERM);
 }
 
 }  // namespace

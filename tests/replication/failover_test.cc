@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "storage/storage_test_util.h"
+#include "testing/child_process.h"
 #include "wot/api/client.h"
 #include "wot/api/codec.h"
 #include "wot/api/frontend.h"
@@ -150,16 +151,25 @@ Result<api::ReplStatusResult> ReplStatus(api::ApiClient* client) {
   return *status;
 }
 
-/// Polls the replica until its applied version reaches \p version.
-bool AwaitApplied(api::ApiClient* replica, uint64_t version) {
+/// Polls the replica until its applied version reaches \p version, for
+/// about 10 s. The failure names the last answer the replica gave.
+::testing::AssertionResult AwaitApplied(api::ApiClient* replica,
+                                        uint64_t version) {
+  std::string last = "no repl_status answer";
   for (int attempt = 0; attempt < 400; ++attempt) {
     Result<api::ReplStatusResult> status = ReplStatus(replica);
-    if (status.ok() && status.ValueOrDie().applied_version >= version) {
-      return true;
+    if (status.ok()) {
+      const uint64_t applied = status.ValueOrDie().applied_version;
+      if (applied >= version) return ::testing::AssertionSuccess();
+      last = "applied_version " + std::to_string(applied);
+    } else {
+      last = status.status().ToString();
     }
     usleep(25 * 1000);
   }
-  return false;
+  return ::testing::AssertionFailure()
+         << "replica did not apply version " << version
+         << " in time; last repl_status: " << last;
 }
 
 TEST(FailoverTest, SigkillPrimaryPromoteReplicaLosesNothingCommitted) {
@@ -178,10 +188,23 @@ TEST(FailoverTest, SigkillPrimaryPromoteReplicaLosesNothingCommitted) {
       TrustService::Create(ServedDataset()).ValueOrDie();
   api::ServiceFrontend reference(reference_service.get());
 
-  pid_t primary_pid = SpawnPrimary(
+  // The replica reader and what it shares, stopped and joined on every
+  // exit path. Declared before the children so it is joined after they
+  // are killed: a reader waiting on the replica then sees its socket
+  // close.
+  std::atomic<bool> stop_reader{false};
+  std::atomic<int64_t> reads_served{0};
+  std::atomic<int64_t> read_failures{0};
+  std::thread reader;
+  wot::testing::ScopeExit join_reader([&] {
+    stop_reader.store(true);
+    if (reader.joinable()) reader.join();
+  });
+
+  wot::testing::ChildProcess primary_process(SpawnPrimary(
       primary_dir, primary_sock,
-      ::testing::TempDir() + "/failover_primary.log");
-  ASSERT_GT(primary_pid, 0);
+      ::testing::TempDir() + "/failover_primary.log"));
+  ASSERT_GT(primary_process.pid(), 0);
   std::unique_ptr<api::SocketClient> primary =
       ConnectWithRetry(primary_sock);
   ASSERT_NE(primary, nullptr);
@@ -198,10 +221,10 @@ TEST(FailoverTest, SigkillPrimaryPromoteReplicaLosesNothingCommitted) {
              MakeRequest(++id, api::CommitRequest{}));
   if (::testing::Test::HasFatalFailure()) return;
 
-  pid_t replica_pid = SpawnReplica(
+  wot::testing::ChildProcess replica_process(SpawnReplica(
       replica_dir, replica_sock, primary_sock,
-      ::testing::TempDir() + "/failover_replica.log");
-  ASSERT_GT(replica_pid, 0);
+      ::testing::TempDir() + "/failover_replica.log"));
+  ASSERT_GT(replica_process.pid(), 0);
   std::unique_ptr<api::SocketClient> replica =
       ConnectWithRetry(replica_sock);
   ASSERT_NE(replica, nullptr);
@@ -209,10 +232,7 @@ TEST(FailoverTest, SigkillPrimaryPromoteReplicaLosesNothingCommitted) {
   // A reader hammers the replica across the whole kill + promote
   // window: every reply must arrive and decode — a connection reset or
   // unframed reply anywhere fails the test.
-  std::atomic<bool> stop_reader{false};
-  std::atomic<int64_t> reads_served{0};
-  std::atomic<int64_t> read_failures{0};
-  std::thread reader([&] {
+  reader = std::thread([&] {
     std::unique_ptr<api::SocketClient> conn =
         ConnectWithRetry(replica_sock);
     if (conn == nullptr) {
@@ -244,11 +264,7 @@ TEST(FailoverTest, SigkillPrimaryPromoteReplicaLosesNothingCommitted) {
   SendToBoth(primary.get(), &reference, MakeRequest(++id, review));
   SendToBoth(primary.get(), &reference,
              MakeRequest(++id, api::CommitRequest{}));
-  if (::testing::Test::HasFatalFailure()) {
-    stop_reader.store(true);
-    reader.join();
-    return;
-  }
+  if (::testing::Test::HasFatalFailure()) return;
   const uint64_t committed_version =
       reference_service->Snapshot()->version();
   ASSERT_TRUE(AwaitApplied(replica.get(), committed_version));
@@ -261,10 +277,7 @@ TEST(FailoverTest, SigkillPrimaryPromoteReplicaLosesNothingCommitted) {
             api::ApiCode::kInvalidArgument);
 
   // SIGKILL the primary mid-traffic — no drain, no handshake.
-  ASSERT_EQ(kill(primary_pid, SIGKILL), 0);
-  int wait_status = 0;
-  waitpid(primary_pid, &wait_status, 0);
-  ASSERT_TRUE(WIFSIGNALED(wait_status));
+  ASSERT_TRUE(WIFSIGNALED(primary_process.Stop(SIGKILL)));
 
   // Promote over the wire. The ack reports the flipped role.
   Result<api::Response> promoted =
@@ -335,8 +348,7 @@ TEST(FailoverTest, SigkillPrimaryPromoteReplicaLosesNothingCommitted) {
   }
   EXPECT_EQ(failovers, 1);
 
-  kill(replica_pid, SIGTERM);
-  waitpid(replica_pid, &wait_status, 0);
+  replica_process.Stop(SIGTERM);
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include <variant>
 #include <vector>
 
+#include "testing/child_process.h"
 #include "wot/api/client.h"
 #include "wot/api/codec.h"
 #include "wot/api/frontend.h"
@@ -128,6 +129,7 @@ TEST(TcpListenerTest, WotServedListensOnTcp) {
           "127.0.0.1:0", static_cast<char*>(nullptr));
     _exit(127);
   }
+  wot::testing::ChildProcess served(pid);
 
   // Poll the stderr log for the "listening on tcp HOST:PORT" line to
   // learn the ephemeral port.
@@ -174,9 +176,7 @@ TEST(TcpListenerTest, WotServedListensOnTcp) {
   }
   client.ValueOrDie().reset();
 
-  kill(pid, SIGTERM);
-  int wait_status = 0;
-  waitpid(pid, &wait_status, 0);
+  const int wait_status = served.Stop(SIGTERM);
   EXPECT_TRUE(WIFEXITED(wait_status));
   EXPECT_EQ(WEXITSTATUS(wait_status), 0);
   std::ifstream err(stderr_path);

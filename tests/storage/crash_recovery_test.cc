@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "storage/storage_test_util.h"
+#include "testing/child_process.h"
 #include "wot/api/client.h"
 #include "wot/api/codec.h"
 #include "wot/api/frontend.h"
@@ -196,6 +197,7 @@ TEST(CrashRecoveryTest, SigkillMidStreamLosesNothingAcked) {
 
   // --- Run 1: ingest + commit, then more ingests, then SIGKILL. -------
   ServedProcess first = SpawnServed(data_dir, socket_1, stderr_1);
+  wot::testing::ChildProcess first_process(first.pid);
   ASSERT_GT(first.pid, 0);
   {
     std::unique_ptr<api::SocketClient> client =
@@ -210,19 +212,14 @@ TEST(CrashRecoveryTest, SigkillMidStreamLosesNothingAcked) {
       if (::testing::Test::HasFatalFailure()) return;
     }
     AwaitSegment(client.get(), reference_service->Snapshot()->version());
-    if (::testing::Test::HasFatalFailure()) {
-      kill(first.pid, SIGKILL);
-      return;
-    }
+    if (::testing::Test::HasFatalFailure()) return;
   }
   // No shutdown, no flush request, no connection drain: SIGKILL.
-  ASSERT_EQ(kill(first.pid, SIGKILL), 0);
-  int wait_status = 0;
-  waitpid(first.pid, &wait_status, 0);
-  ASSERT_TRUE(WIFSIGNALED(wait_status));
+  ASSERT_TRUE(WIFSIGNALED(first_process.Stop(SIGKILL)));
 
   // --- Run 2: restart over the same directory. ------------------------
   ServedProcess second = SpawnServed(data_dir, socket_2, stderr_2);
+  wot::testing::ChildProcess second_process(second.pid);
   ASSERT_GT(second.pid, 0);
   std::unique_ptr<api::SocketClient> client = ConnectWithRetry(socket_2);
   ASSERT_NE(client, nullptr);
@@ -284,8 +281,7 @@ TEST(CrashRecoveryTest, SigkillMidStreamLosesNothingAcked) {
   }
 
   client.reset();
-  kill(second.pid, SIGTERM);
-  waitpid(second.pid, &wait_status, 0);
+  second_process.Stop(SIGTERM);
 }
 
 }  // namespace
